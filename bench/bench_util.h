@@ -19,6 +19,7 @@
 #include "adm/printer.h"
 #include "common/env_config.h"
 #include "common/rng.h"
+#include "common/task_pool.h"
 #include "core/dataset.h"
 #include "query/paper_queries.h"
 #include "storage/device_model.h"
@@ -50,8 +51,8 @@ struct BenchConfig {
   size_t wal_sync_every = 0;  // benches run without fsync (MemFS-equivalent)
   uint64_t seed = 42;
   /// Shared executor for background flush builds + merges (not owned; must
-  /// outlive the dataset). Null = inline background work, the historical
-  /// bench behaviour.
+  /// outlive the dataset). Null = the bench dataset owns an nproc-sized
+  /// pool, the shape ClusterHarness ships.
   TaskPool* merge_pool = nullptr;
   /// Per-tree concurrent-merge cap when merge_pool is set (fig17 section e
   /// compares 1 — the old single-inflight scheduler — against higher caps).
@@ -70,6 +71,7 @@ struct BenchDataset {
   std::shared_ptr<FileSystem> fs;
   std::shared_ptr<DeviceModel> device;
   std::unique_ptr<BufferCache> cache;
+  std::unique_ptr<TaskPool> pool;  // when config.merge_pool is null
   std::unique_ptr<Dataset> dataset;
 
   ~BenchDataset() {
@@ -106,7 +108,8 @@ inline std::unique_ptr<BenchDataset> OpenBench(const BenchConfig& cfg) {
   if (!cfg.merge_policy.empty()) {
     TC_CHECK(ParseMergePolicyKind(cfg.merge_policy, &o.merge.kind));
   }
-  o.merge_pool = cfg.merge_pool;
+  if (cfg.merge_pool == nullptr) bd->pool = std::make_unique<TaskPool>();
+  o.merge_pool = cfg.merge_pool != nullptr ? cfg.merge_pool : bd->pool.get();
   if (cfg.max_concurrent_merges != 0) {
     // An explicit bench axis (fig17 section e) wins over the environment so
     // its single-vs-concurrent comparison stays meaningful under any
@@ -310,8 +313,10 @@ inline BenchConfig PolicyAxisConfig(const char* policy) {
   return cfg;
 }
 
-/// Worst-partition live component count — the cost one point lookup pays.
+/// Worst-partition live component count — the cost one point lookup pays —
+/// once background work has settled.
 inline size_t MaxPrimaryComponentsPerPartition(Dataset* ds) {
+  TC_CHECK(ds->WaitForBackgroundWork().ok());
   size_t components = 0;
   for (size_t p = 0; p < ds->partition_count(); ++p) {
     components =

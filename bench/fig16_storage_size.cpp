@@ -73,6 +73,7 @@ struct MergeAxisDirs {
   std::shared_ptr<FileSystem> fs = MakePosixFileSystem();
   std::unique_ptr<BufferCache> cache =
       std::make_unique<BufferCache>(32 * 1024, 192);
+  TaskPool pool;  // background builds of every dataset opened here
 
   explicit MergeAxisDirs(const char* tag) {
     dir = "/tmp/tcdb_bench_fig16m_" + std::to_string(::getpid()) + "_" + tag;
@@ -85,7 +86,7 @@ struct MergeAxisDirs {
     std::filesystem::remove_all(dir, ec);
   }
 
-  DatasetOptions Base() const {
+  DatasetOptions Base() {
     DatasetOptions o;
     o.name = "bench";
     o.dir = dir;
@@ -94,6 +95,7 @@ struct MergeAxisDirs {
     o.use_wal = false;
     o.fs = fs;
     o.cache = cache.get();
+    o.merge_pool = &pool;
     return o;
   }
 };

@@ -82,6 +82,7 @@ BENCHMARK(BM_MemtableInsertEagerInference);
 struct TreeFixture {
   std::shared_ptr<FileSystem> fs = MakeMemFileSystem();
   BufferCache cache{32 * 1024, 1024};
+  TaskPool pool{1};
   std::unique_ptr<LsmTree> tree;
   DatasetType type = DatasetType::OpenWithPk("id");
   TupleCompactor compactor{&type};
@@ -95,6 +96,7 @@ struct TreeFixture {
     o.page_size = 32 * 1024;
     o.memtable_budget_bytes = 4 << 20;
     o.use_wal = false;
+    o.merge_pool = &pool;
     if (compact) o.transformer = &compactor;
     tree = LsmTree::Open(std::move(o)).ValueOrDie();
     auto payloads = EncodedTweets(256);
@@ -105,6 +107,7 @@ struct TreeFixture {
       TC_CHECK(tree->Insert(BtreeKey{i, 0}, p).ok());
     }
     TC_CHECK(tree->Flush().ok());
+    TC_CHECK(tree->WaitForMerges().ok());
   }
 };
 
@@ -149,6 +152,7 @@ void BM_FlushWithCompaction(benchmark::State& state) {
     }
     state.ResumeTiming();
     TC_CHECK(fx->tree->Flush().ok());
+    TC_CHECK(fx->tree->WaitForMerges().ok());  // the build runs on the pool
     state.PauseTiming();
     delete fx;
     state.ResumeTiming();
@@ -161,17 +165,16 @@ BENCHMARK(BM_FlushWithCompaction)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond)
 // ingests continuously (flushes and merges included). Two read paths:
 //
 //   path=view   the snapshot read API — every Get pins a ReadView and
-//               searches without tree locks; merges run on a TaskPool.
-//   path=mutex  emulation of the pre-snapshot (PR 3) read path: one big tree
-//               mutex held across every Get AND across the writer's whole
-//               upsert, including any inline flush/merge it triggers — which
-//               is exactly what LsmTree::mu_ used to do.
+//               searches without tree locks.
+//   path=mutex  emulation of the pre-snapshot read path: one big tree mutex
+//               held across every Get AND across the writer's whole upsert.
 //
-// I/O is throttled through the SATA-SSD device model and the buffer cache is
-// deliberately small, so lookups block in (modeled) I/O: the view path
-// overlaps reader I/O even on a single core, while the mutex path serializes
-// it and makes readers wait out merge rewrites. Reported items/s is the
-// AGGREGATE reader throughput; compare it across reader counts per path.
+// Flush builds and merges run on a TaskPool in both paths, outside the
+// emulated mutex. I/O is throttled through the SATA-SSD device model and the
+// buffer cache is deliberately small, so lookups block in (modeled) I/O: the
+// view path overlaps reader I/O even on a single core, while the mutex path
+// serializes it. Reported items/s is the AGGREGATE reader throughput;
+// compare it across reader counts per path.
 // ---------------------------------------------------------------------------
 
 struct ReaderScalingFixture {
@@ -184,7 +187,7 @@ struct ReaderScalingFixture {
   std::unique_ptr<LsmTree> tree;
   std::string payload = std::string(120, 'v');
 
-  explicit ReaderScalingFixture(bool use_pool) {
+  ReaderScalingFixture() {
     fs->set_device(device);
     LsmTreeOptions o;
     o.fs = fs;
@@ -194,7 +197,7 @@ struct ReaderScalingFixture {
     o.page_size = 4096;
     o.memtable_budget_bytes = 256 * 1024;
     o.use_wal = false;
-    o.merge_pool = use_pool ? &pool : nullptr;
+    o.merge_pool = &pool;
     tree = LsmTree::Open(std::move(o)).ValueOrDie();
     for (int64_t k = 0; k < kKeys; ++k) {
       TC_CHECK(tree->Insert(BtreeKey{k, 0}, payload).ok());
@@ -207,8 +210,8 @@ struct ReaderScalingFixture {
 void BM_ReaderScaling(benchmark::State& state) {
   const int n_readers = static_cast<int>(state.range(0));
   const bool emulate_mutex = state.range(1) != 0;
-  ReaderScalingFixture fx(/*use_pool=*/!emulate_mutex);
-  std::mutex big_lock;  // the emulated PR 3 tree mutex
+  ReaderScalingFixture fx;
+  std::mutex big_lock;  // the emulated pre-snapshot tree mutex
   uint64_t total_reads = 0;
   for (auto _ : state) {
     std::atomic<bool> stop{false};
@@ -218,8 +221,8 @@ void BM_ReaderScaling(benchmark::State& state) {
       while (!stop.load(std::memory_order_acquire)) {
         int64_t k = static_cast<int64_t>(rng.Uniform(ReaderScalingFixture::kKeys));
         if (emulate_mutex) {
-          // Writer holds the big lock across the whole upsert — including any
-          // flush + merge rewrite it triggers, like LsmTree::mu_ once did.
+          // Writer holds the big lock across the whole upsert, including the
+          // generation swap of any flush it triggers.
           std::lock_guard<std::mutex> lock(big_lock);
           TC_CHECK(fx.tree->Upsert(BtreeKey{k, 0}, fx.payload, nullptr).ok());
         } else {
@@ -276,6 +279,7 @@ struct LookupScalingFixture {
   std::shared_ptr<DeviceModel> device =
       std::make_shared<DeviceModel>(DeviceProfile::SataSsd());
   BufferCache cache{4096, 64};  // ~256 KB: far smaller than the data
+  TaskPool pool{1};
   std::unique_ptr<LsmTree> tree;
   std::string payload = std::string(120, 'v');
 
@@ -290,12 +294,14 @@ struct LookupScalingFixture {
     o.memtable_budget_bytes = 256 * 1024;
     o.use_wal = false;
     o.merge_policy = MakeNoMergePolicy();
+    o.merge_pool = &pool;
     o.filter.bits_per_key = filters ? 10 : 0;
     tree = LsmTree::Open(std::move(o)).ValueOrDie();
     for (int64_t k = 0; k < kKeys; ++k) {
       TC_CHECK(tree->Insert(BtreeKey{2 * k, 0}, payload).ok());
     }
     TC_CHECK(tree->Flush().ok());
+    TC_CHECK(tree->WaitForMerges().ok());
   }
 };
 
@@ -427,9 +433,11 @@ void BM_BatchIngest(benchmark::State& state) {
     {
       auto fs = MakeMemFileSystem();
       BufferCache cache{32 * 1024, 1024};
+      TaskPool pool{1};
       LsmTreeOptions o;
       o.fs = fs;
       o.cache = &cache;
+      o.merge_pool = &pool;
       o.dir = "bi";
       o.name = "t";
       o.page_size = 32 * 1024;
@@ -451,6 +459,8 @@ void BM_BatchIngest(benchmark::State& state) {
         }
         TC_CHECK(tree->InsertBatch(batch).ok());
       }
+      // Time the pooled flush builds too: teardown would cancel them.
+      TC_CHECK(tree->WaitForMerges().ok());
       state.PauseTiming();
       total_records += kRecords;
     }

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <string>
 
+#include "common/task_pool.h"
 #include "core/dataset.h"
 #include "query/paper_queries.h"
 #include "query/vec/hash_join.h"
@@ -22,8 +23,8 @@ using namespace tc;
 namespace {
 
 std::unique_ptr<Dataset> OpenMem(const std::shared_ptr<FileSystem>& fs,
-                                 BufferCache* cache, const std::string& name,
-                                 size_t partitions) {
+                                 BufferCache* cache, TaskPool* pool,
+                                 const std::string& name, size_t partitions) {
   DatasetOptions o;
   o.name = name;
   o.dir = "mem";
@@ -33,6 +34,7 @@ std::unique_ptr<Dataset> OpenMem(const std::shared_ptr<FileSystem>& fs,
   o.wal_sync_every = 0;
   o.fs = fs;
   o.cache = cache;
+  o.merge_pool = pool;
   auto ds = Dataset::Open(std::move(o), partitions);
   TC_CHECK(ds.ok());
   return std::move(ds).value();
@@ -46,8 +48,9 @@ int main(int argc, char** argv) {
 
   auto fs = MakeMemFileSystem();
   BufferCache cache(16384, 4096);
-  auto users = OpenMem(fs, &cache, "users", 2);
-  auto tweets = OpenMem(fs, &cache, "tweets", 2);
+  TaskPool pool;  // background flush builds and merges
+  auto users = OpenMem(fs, &cache, &pool, "users", 2);
+  auto tweets = OpenMem(fs, &cache, &pool, "tweets", 2);
 
   // Users have dense ids [0, n_users); tweets draw user.id from a 5M-id
   // universe, so remap each tweet's author into the users' id space.

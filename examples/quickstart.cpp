@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "adm/printer.h"
+#include "common/task_pool.h"
 #include "core/dataset.h"
 #include "storage/file.h"
 
@@ -16,6 +17,8 @@ int main() {
   // MakePosixFileSystem() and a real directory in production.
   auto fs = MakeMemFileSystem();
   BufferCache cache(/*page_size=*/32 * 1024, /*capacity_pages=*/1024);
+  // Flush builds and merges run on this pool (one worker per core).
+  TaskPool pool;
 
   DatasetOptions options;
   options.name = "Employee";
@@ -24,6 +27,7 @@ int main() {
   options.type = DatasetType::OpenWithPk("id");
   options.fs = fs;
   options.cache = &cache;
+  options.merge_pool = &pool;
 
   auto dataset = Dataset::Open(std::move(options), /*partitions=*/1).ValueOrDie();
 

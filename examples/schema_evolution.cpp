@@ -8,6 +8,7 @@
 #include <cstdio>
 
 #include "adm/printer.h"
+#include "common/task_pool.h"
 #include "core/dataset.h"
 #include "storage/file.h"
 
@@ -25,6 +26,7 @@ void Show(Dataset* ds, const char* moment) {
 int main() {
   auto fs = MakeMemFileSystem();
   BufferCache cache(32 * 1024, 1024);
+  TaskPool pool;  // background flush builds and merges
   DatasetOptions options;
   options.name = "Events";
   options.dir = "events";
@@ -32,6 +34,7 @@ int main() {
   options.wal_sync_every = 1;
   options.fs = fs;
   options.cache = &cache;
+  options.merge_pool = &pool;
   DatasetOptions reopen_options = options;
   auto ds = Dataset::Open(std::move(options), 1).ValueOrDie();
 

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/task_pool.h"
 #include "query/paper_queries.h"
 #include "workload/workload.h"
 
@@ -15,6 +16,7 @@ using namespace tc;
 namespace {
 
 std::unique_ptr<Dataset> IngestInto(SchemaMode mode, int n, BufferCache* cache,
+                                    TaskPool* pool,
                                     std::shared_ptr<FileSystem> fs) {
   DatasetOptions options;
   options.name = "Sensors";
@@ -23,6 +25,7 @@ std::unique_ptr<Dataset> IngestInto(SchemaMode mode, int n, BufferCache* cache,
   if (mode == SchemaMode::kInferred) options.secondary_index_field = "report_time";
   options.fs = std::move(fs);
   options.cache = cache;
+  options.merge_pool = pool;
   if (mode == SchemaMode::kClosed) {
     options.type = MakeSensorsGenerator(1)->ClosedType();
   }
@@ -43,15 +46,16 @@ int main(int argc, char** argv) {
   int n = argc > 1 ? std::atoi(argv[1]) : 500;
   auto fs = MakeMemFileSystem();
   BufferCache cache(32 * 1024, 4096);
+  TaskPool pool;  // background flush builds and merges
 
   std::printf("storage for %d sensor reports (117 readings each):\n", n);
   for (SchemaMode mode : {SchemaMode::kOpen, SchemaMode::kClosed,
                           SchemaMode::kSchemalessVB}) {
-    auto ds = IngestInto(mode, n, &cache, fs);
+    auto ds = IngestInto(mode, n, &cache, &pool, fs);
     std::printf("  %-9s %8.2f MiB\n", SchemaModeName(mode),
                 ds->TotalPhysicalBytes() / 1048576.0);
   }
-  auto dataset = IngestInto(SchemaMode::kInferred, n, &cache, fs);
+  auto dataset = IngestInto(SchemaMode::kInferred, n, &cache, &pool, fs);
   std::printf("  %-9s %8.2f MiB  <- tuple compactor\n", "inferred",
               dataset->TotalPhysicalBytes() / 1048576.0);
 

@@ -8,6 +8,7 @@
 #include <cstdlib>
 
 #include "adm/printer.h"
+#include "common/task_pool.h"
 #include "query/paper_queries.h"
 #include "workload/workload.h"
 
@@ -18,6 +19,7 @@ int main(int argc, char** argv) {
 
   auto fs = MakeMemFileSystem();
   BufferCache cache(32 * 1024, 2048);
+  TaskPool pool;  // background flush builds and merges
   DatasetOptions options;
   options.name = "Tweets";
   options.dir = "tweets";
@@ -25,6 +27,7 @@ int main(int argc, char** argv) {
   options.compression = true;  // page-level compression (§2.4) on top
   options.fs = fs;
   options.cache = &cache;
+  options.merge_pool = &pool;
   auto dataset = Dataset::Open(std::move(options), /*partitions=*/4).ValueOrDie();
 
   auto gen = MakeTwitterGenerator(2024);

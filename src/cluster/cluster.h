@@ -46,8 +46,8 @@ class ClusterHarness {
   /// Runs one data feed per node in parallel; each feed generates
   /// `records_per_node` records with node-disjoint primary keys and inserts
   /// them (hash-partitioned) into the dataset. Returns after the feeds join
-  /// AND the scheduled background merges drain, so ingest timings stay
-  /// comparable with the inline-merge path.
+  /// AND the scheduled background work drains, so ingest timings include
+  /// every flush build and merge the feed caused.
   Status IngestParallel(const std::string& workload, uint64_t records_per_node,
                         uint64_t seed);
 

@@ -70,9 +70,10 @@ void MemoryArbiter::Unregister(Registration* reg) {
   for (auto it = regs_.begin(); it != regs_.end(); ++it) {
     if (it->get() == reg) {
       regs_.erase(it);
-      return;
+      break;
     }
   }
+  ceiling_cv_.notify_all();  // its live and sealed bytes left the total
 }
 
 MemoryArbiter::Registration* MemoryArbiter::PickVictimLocked() {
@@ -99,12 +100,29 @@ MemoryArbiter::Registration* MemoryArbiter::SuggestFlushVictim() {
   return PickVictimLocked();
 }
 
+bool MemoryArbiter::OverWriteCeilingLocked() const {
+  size_t total = 0;
+  size_t draining = 0;
+  for (const auto& r : regs_) {
+    total += r->live_bytes + r->sealed_bytes;
+    if (!r->builds_abandoned) draining += r->sealed_bytes;
+  }
+  return total >= kWriteCeilingShares * write_share_bytes_ && draining > 0;
+}
+
 bool MemoryArbiter::OnPostWrite(Registration* reg, size_t live_bytes) {
   Registration* victim = nullptr;
   {
-    std::lock_guard<std::mutex> lock(mu_);
+    std::unique_lock<std::mutex> lock(mu_);
     reg->live_bytes = live_bytes;
     reg->last_write_tick = ++tick_;
+    // Write stall: a flush moves bytes from live to sealed but frees nothing
+    // until its pooled build installs, so only waiting bounds write memory
+    // when builds fall behind. Builds need no lock the writer holds.
+    if (OverWriteCeilingLocked()) {
+      ++write_stalls_;
+      ceiling_cv_.wait(lock, [this] { return !OverWriteCeilingLocked(); });
+    }
     // The trigger compares LIVE bytes only. Sealed generations are tracked
     // (stats, adaptation) but deliberately excluded here: counting them would
     // shrink the effective live budget while a build drains, cascading tiny
@@ -169,6 +187,7 @@ void MemoryArbiter::OnFlushInstalled(Registration* reg, size_t mem_bytes,
                                      uint64_t /*physical_bytes*/) {
   std::lock_guard<std::mutex> lock(mu_);
   reg->sealed_bytes -= std::min(reg->sealed_bytes, mem_bytes);
+  ceiling_cv_.notify_all();
   ++flushes_installed_;
   flush_samples_.push_back(mem_bytes);
   if (opts_.adaptive && opts_.cache != nullptr &&
@@ -178,6 +197,12 @@ void MemoryArbiter::OnFlushInstalled(Registration* reg, size_t mem_bytes,
   if (flush_samples_.size() >= opts_.adapt_interval_flushes) {
     flush_samples_.clear();
   }
+}
+
+void MemoryArbiter::OnFlushAbandoned(Registration* reg) {
+  std::lock_guard<std::mutex> lock(mu_);
+  reg->builds_abandoned = true;
+  ceiling_cv_.notify_all();
 }
 
 void MemoryArbiter::AdaptLocked() {
@@ -301,6 +326,7 @@ MemoryArbiter::Stats MemoryArbiter::stats() const {
   s.global_flushes_triggered = global_flushes_;
   s.self_flushes_triggered = self_flushes_;
   s.victim_skips = victim_skips_;
+  s.write_stalls = write_stalls_;
   s.adapt_shifts = adapt_shifts_;
   s.query_bytes_charged = query_bytes_charged_;
   s.query_charge_denials = query_charge_denials_;

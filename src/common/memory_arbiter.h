@@ -23,8 +23,10 @@
 //     component build installs. Sealed bytes are observable (stats) and feed
 //     the adaptation signal, but the flush trigger compares LIVE bytes only:
 //     counting a draining build against the share would cascade tiny flushes
-//     exactly when the pipeline is busiest. The sealed backlog is bounded
-//     separately, by the trees' max_pending_flush_builds backpressure.
+//     exactly when the pipeline is busiest. Instead OnPostWrite stalls the
+//     writer while live + sealed bytes sit at kWriteCeilingShares x the
+//     share, until a build installs (OnFlushAbandoned exempts a tree whose
+//     builds stopped on an error, so the stall always ends).
 //
 // Deadlock discipline:
 //   * The arbiter's mutex is a LEAF on the tree side: trees call accounting
@@ -42,7 +44,6 @@
 // reaches twice the write share, a writer whose dispatch was skipped flushes
 // itself (if it clears its own floor) rather than retrying the stuck victim —
 // live memory stays under 2x share plus the floors and in-flight records.
-// The TC_FLUSH_PENDING backpressure remains the hard bound on sealed memory.
 //
 // Adaptation: when a BufferCache is attached, every adapt_interval_flushes
 // installed flushes the arbiter compares the observed mean flush size and the
@@ -122,6 +123,7 @@ class MemoryArbiter {
     uint64_t last_write_tick = 0;
     bool flush_requested = false;   // victim dispatch pending/in flight
     bool callback_inflight = false;  // flush_fn executing right now
+    bool builds_abandoned = false;   // no build will release sealed_bytes
   };
 
   /// One split-shift record: after `flush_seq` installed flushes the write
@@ -146,6 +148,8 @@ class MemoryArbiter {
     uint64_t self_flushes_triggered = 0;
     /// Victim dispatches that bailed (busy writer, full queue, error).
     uint64_t victim_skips = 0;
+    /// OnPostWrite calls that waited at the write-memory ceiling.
+    uint64_t write_stalls = 0;
     uint64_t adapt_shifts = 0;
     /// Query scratch currently charged against the read share (join builds).
     size_t query_bytes_charged = 0;
@@ -173,8 +177,12 @@ class MemoryArbiter {
   /// (its live/sealed accounting with it).
   void Unregister(Registration* reg);
 
+  /// Live + sealed bytes at which writers stall, in write shares.
+  static constexpr size_t kWriteCeilingShares = 4;
+
   /// Writer-side, after each committed write. Returns true iff the CALLER
-  /// should flush itself; cross-tree victims are dispatched inside. Never
+  /// should flush itself; cross-tree victims are dispatched inside. Blocks
+  /// while write memory is at the ceiling and a build is draining it. Never
   /// called with the arbiter's lock held by tree code (it takes it itself).
   bool OnPostWrite(Registration* reg, size_t live_bytes);
 
@@ -186,6 +194,10 @@ class MemoryArbiter {
   /// size (recorded for the flush-size adaptation signal).
   void OnFlushInstalled(Registration* reg, size_t mem_bytes,
                         uint64_t physical_bytes);
+
+  /// The tree's builds stopped on a latched error with generations still
+  /// sealed: they stay counted but no longer stall writers.
+  void OnFlushAbandoned(Registration* reg);
 
   /// The registration the arbiter would flush right now under its victim
   /// policy, or null when no tree clears its floor. Exposed for the victim-
@@ -230,6 +242,8 @@ class MemoryArbiter {
 
  private:
   Registration* PickVictimLocked();
+  // Live + sealed at the ceiling, and some build can still lower it.
+  bool OverWriteCeilingLocked() const;
   void AdaptLocked();
   /// Clamps and applies a new write pct: recomputes the share, resizes the
   /// cache, and records the shift. No-op when the clamped pct is unchanged.
@@ -238,6 +252,7 @@ class MemoryArbiter {
   Options opts_;
   mutable std::mutex mu_;
   std::condition_variable unregister_cv_;
+  std::condition_variable ceiling_cv_;  // sealed bytes released or abandoned
   std::vector<std::unique_ptr<Registration>> regs_;
   size_t write_share_bytes_ = 0;
   int write_pct_ = 50;
@@ -246,6 +261,7 @@ class MemoryArbiter {
   uint64_t global_flushes_ = 0;
   uint64_t self_flushes_ = 0;
   uint64_t victim_skips_ = 0;
+  uint64_t write_stalls_ = 0;
   uint64_t adapt_shifts_ = 0;
   size_t query_bytes_charged_ = 0;
   uint64_t query_charge_denials_ = 0;

@@ -1,9 +1,9 @@
 // Shared background executor: a fixed pool of worker threads that LSM trees
 // submit flush/merge work to. One pool serves every partition of a cluster
 // node (ROADMAP "Parallelism"), so background rewrites are bounded by the
-// machine's core count instead of exploding thread-per-feed. Trees without a
-// pool run merges inline on the writer thread (deterministic; what unit tests
-// use).
+// machine's core count instead of exploding thread-per-feed. Every tree runs
+// its background work here; a one-worker pool gives tests a deterministic
+// build/merge order.
 //
 // Completion and cancellation are per-owner, not pool-wide: each owner (e.g.
 // one LsmTree) funnels its submissions through a TaskGroup, which lets it

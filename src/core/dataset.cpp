@@ -497,6 +497,9 @@ uint64_t DatasetPartition::physical_bytes() const {
 Result<std::unique_ptr<Dataset>> Dataset::Open(DatasetOptions options,
                                                size_t num_partitions) {
   TC_CHECK(num_partitions >= 1);
+  if (options.merge_pool == nullptr) {
+    return Status::InvalidArgument("Dataset requires a merge_pool");
+  }
   auto ds = std::unique_ptr<Dataset>(new Dataset());
   ds->opts_ = std::move(options);
   for (size_t i = 0; i < num_partitions; ++i) {
@@ -705,7 +708,8 @@ Status Dataset::BulkLoad(std::vector<AdmValue> records) {
       TC_RETURN_IF_ERROR(part->secondary()->Flush());
     }
   }
-  return Status::OK();
+  // The secondary-index flushes above build on the pool; return settled.
+  return WaitForBackgroundWork();
 }
 
 Result<std::vector<int64_t>> Dataset::SecondaryRangeScan(int64_t lo, int64_t hi) {

@@ -116,9 +116,9 @@ struct DatasetOptions {
   /// Name of a top-level bigint field to index (paper §4.4.5), empty = none.
   std::string secondary_index_field;
   /// Shared background executor for LSM merges AND flush builds across every
-  /// partition's trees (not owned; must outlive the dataset). Null = inline
-  /// background work on the writer thread — deterministic, what unit tests
-  /// use. ClusterHarness wires its nproc-sized pool here. The per-tree merge
+  /// partition's trees (not owned; must outlive the dataset). Required: Open
+  /// rejects a null pool. ClusterHarness wires its nproc-sized pool here;
+  /// tests use a one-worker pool for a deterministic order. The per-tree merge
   /// concurrency cap and the pooled-flush backpressure bound ride in
   /// `merge.max_concurrent_merges` / `merge.max_pending_flush_builds`
   /// (TC_MERGE_CONCURRENT / TC_FLUSH_PENDING).
@@ -199,8 +199,8 @@ class DatasetPartition {
                                                   int64_t lo, int64_t hi) const;
 
   Status Flush();
-  /// Drains scheduled background merges on every tree of this partition;
-  /// returns the first sticky background error. No-op without a merge pool.
+  /// Drains scheduled flush builds and merges on every tree of this
+  /// partition; returns the first sticky background error.
   Status WaitForBackgroundWork();
 
   /// Encodes a record in this partition's storage format (uncompacted for

@@ -234,9 +234,14 @@ std::string LsmTree::WalSegmentPath(uint64_t seq) const {
 }
 
 Result<std::unique_ptr<LsmTree>> LsmTree::Open(LsmTreeOptions options) {
+  if (options.merge_pool == nullptr) {
+    return Status::InvalidArgument("LsmTree requires a merge_pool");
+  }
   auto tree = std::unique_ptr<LsmTree>(new LsmTree());
   tree->opts_ = std::move(options);
   TC_CHECK(tree->opts_.fs != nullptr && tree->opts_.cache != nullptr);
+  tree->flush_jobs_ = std::make_unique<TaskGroup>(tree->opts_.merge_pool);
+  tree->merge_jobs_ = std::make_unique<TaskGroup>(tree->opts_.merge_pool);
   TC_CHECK(tree->opts_.cache->page_size() == tree->opts_.page_size);
   if (tree->opts_.merge_policy == nullptr) {
     tree->opts_.merge_policy = MakePrefixMergePolicy(32ull << 20, 5);
@@ -261,10 +266,6 @@ Result<std::unique_ptr<LsmTree>> LsmTree::Open(LsmTreeOptions options) {
   tree->reclaimer_ = std::make_shared<ComponentReclaimer>(tree->opts_.fs,
                                                           tree->opts_.cache);
   tree->counters_ = std::make_shared<LsmReadCounters>();
-  if (tree->opts_.merge_pool != nullptr) {
-    tree->flush_jobs_ = std::make_unique<TaskGroup>(tree->opts_.merge_pool);
-    tree->merge_jobs_ = std::make_unique<TaskGroup>(tree->opts_.merge_pool);
-  }
   TC_RETURN_IF_ERROR(tree->opts_.fs->CreateDir(tree->opts_.dir));
   TC_RETURN_IF_ERROR(tree->RecoverComponents());
   // Reload the newest persisted schema BEFORE replaying the WAL: replayed
@@ -276,8 +277,9 @@ Result<std::unique_ptr<LsmTree>> LsmTree::Open(LsmTreeOptions options) {
     TC_RETURN_IF_ERROR(tree->ReplayWal());
   }
   if (tree->opts_.arbiter != nullptr) {
-    // Register AFTER recovery: the replay flush above ran under the plain
-    // inline path, so a replaying tree never dispatches cross-tree victims.
+    // Register AFTER recovery: the replay flush above was waited for without
+    // arbiter accounting, so a replaying tree never dispatches cross-tree
+    // victims.
     LsmTree* raw = tree.get();
     tree->arbiter_reg_ = tree->opts_.arbiter->Register(
         tree->opts_.name, tree->opts_.arbiter_floor_bytes,
@@ -289,28 +291,28 @@ Result<std::unique_ptr<LsmTree>> LsmTree::Open(LsmTreeOptions options) {
 LsmTree::~LsmTree() {
   // Leave the arbiter FIRST: Unregister blocks until any in-flight
   // TryArbiterFlush dispatch on another writer's thread returns, so nothing
-  // below tears state out from under it.
-  if (arbiter_reg_ != nullptr) {
-    opts_.arbiter->Unregister(arbiter_reg_);
-    arbiter_reg_ = nullptr;
+  // below tears state out from under it. Detached under mu_, where builds
+  // draining below read it, so none touches it once Unregister frees it.
+  MemoryArbiter::Registration* reg = nullptr;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::swap(reg, arbiter_reg_);
   }
+  if (reg != nullptr) opts_.arbiter->Unregister(reg);
   // Cancel merge jobs that have not started (cheap skips — their inputs stay
   // in the tree) and wait out the running ones; after the waits no pool
   // thread touches this tree. Flush builds are canceled only when a WAL
   // backs the tree: their sealed generations then survive as WAL segments
   // for the next Open to replay. WAL-less trees (the pk/secondary indexes)
   // instead DRAIN their queued builds, so a completed Flush() is never lost
-  // on clean teardown — exactly the pre-pipeline guarantee.
-  if (merge_jobs_ != nullptr) {
-    merge_jobs_->Cancel();
-    if (opts_.use_wal) flush_jobs_->Cancel();
-    // Drained flush builds may install and cascade-schedule merges; those
-    // land in the canceled merge group and run as skips, so wait for the
-    // flush group first and the merge group (which only ever shrinks after
-    // that) second.
-    flush_jobs_->Wait();
-    merge_jobs_->Wait();
-  }
+  // on clean teardown.
+  merge_jobs_->Cancel();
+  if (opts_.use_wal) flush_jobs_->Cancel();
+  // Drained flush builds may install and cascade-schedule merges; those land
+  // in the canceled merge group and run as skips, so wait for the flush group
+  // first and the merge group (which only ever shrinks after that) second.
+  flush_jobs_->Wait();
+  merge_jobs_->Wait();
   components_.clear();
   flush_queue_.clear();
   mem_.reset();
@@ -429,11 +431,14 @@ Status LsmTree::ReplayWal() {
     TC_ASSIGN_OR_RETURN(auto wal, WriteAheadLog::Open(opts_.fs, seg.second, 0));
     TC_RETURN_IF_ERROR(wal->Replay(apply));
   }
-  // Flush the restored in-memory component (paper §3.1.2) — synchronously,
-  // so every replayed segment is durable as a component before it is
-  // dropped and the fresh base segment opens.
+  // Flush the restored in-memory component (paper §3.1.2) and wait for its
+  // build, so every replayed segment is durable as a component before it is
+  // dropped and the fresh base segment opens. wal_ is still null here, so
+  // the flush rotates no segment of its own.
   if (!mem_->empty()) {
-    TC_RETURN_IF_ERROR(FlushMemtableInline());
+    TC_RETURN_IF_ERROR(FlushLocked());
+    flush_jobs_->Wait();
+    TC_RETURN_IF_ERROR(BackgroundError());
   }
   for (const auto& seg : segments) {
     TC_RETURN_IF_ERROR(opts_.fs->Delete(seg.second));
@@ -667,8 +672,7 @@ bool LsmTree::TryArbiterFlush() {
     // Full flush queue: FlushLocked would block on the backpressure wait.
     // Checked here because the queue cannot GROW before FlushLocked's wait —
     // only writers push, and we hold write_mu_.
-    if (opts_.merge_pool != nullptr &&
-        flush_queue_.size() >= opts_.max_pending_flush_builds) {
+    if (flush_queue_.size() >= opts_.max_pending_flush_builds) {
       return false;
     }
   }
@@ -722,73 +726,67 @@ Status LsmTree::Flush() {
 }
 
 Status LsmTree::FlushLocked() {
-  if (opts_.merge_pool == nullptr) {
-    // Inline: build + install on the writer thread, then one policy
-    // decision — deterministic, what unit tests and benches without a pool
-    // rely on.
-    TC_RETURN_IF_ERROR(FlushMemtableInline());
-    return MaybeMergeInline();
+  if (mem_->empty()) {
+    // Nothing to seal, but an explicit flush still asks the merge policy
+    // (recovered components under a new policy). A sealed generation instead
+    // schedules merges from its build, once its component is installed.
+    std::lock_guard<std::mutex> lock(mu_);
+    ScheduleMergesLocked();
+    return Status::OK();
   }
-  if (!mem_->empty()) {
-    {
-      // Backpressure: a bounded queue of sealed generations. Break on ANY
-      // latched error — build failures and reclaimer-drain failures alike —
-      // because FlushBuildJob short-circuits on the same combined check, so
-      // after either kind of error the queue would never shrink and this
-      // wait would deadlock.
-      std::unique_lock<std::mutex> lock(mu_);
-      flush_cv_.wait(lock, [this] {
-        return flush_queue_.size() < opts_.max_pending_flush_builds ||
-               !BackgroundErrorLocked().ok();
-      });
-      TC_RETURN_IF_ERROR(BackgroundErrorLocked());
-    }
-    // Rotate the WAL: the sealed generation's segment must survive on disk
-    // until its component is durable; new writes go to a fresh segment.
-    std::string frozen_wal;
-    if (wal_ != nullptr) {
-      TC_RETURN_IF_ERROR(wal_->Sync());
-      frozen_wal = wal_->path();
-      TC_ASSIGN_OR_RETURN(
-          auto next_wal, WriteAheadLog::Open(opts_.fs, WalSegmentPath(wal_seq_ + 1),
-                                             opts_.wal_sync_every));
-      ++wal_seq_;
-      wal_ = std::move(next_wal);
-    }
-    uint64_t cid = next_cid_++;
-    bool submit = false;
-    size_t sealed_bytes = 0;
-    {
-      // The swap — all the writer pays: seal the generation, queue it for
-      // its pooled build (views keep reading it from the queue), hand new
-      // writes a fresh generation.
-      std::lock_guard<std::mutex> lock(mu_);
-      mem_->Seal();
-      sealed_bytes = mem_->approximate_bytes();
-      flush_queue_.push_back(PendingFlush{cid, mem_, std::move(frozen_wal)});
-      stats_.flush_queue_high_water = std::max<uint64_t>(
-          stats_.flush_queue_high_water, flush_queue_.size());
-      mem_ = std::make_shared<MemTable>();
-      if (!flush_build_running_) {
-        flush_build_running_ = true;
-        submit = true;
-      }
-    }
+  {
+    // Backpressure: a bounded queue of sealed generations. Break on ANY
+    // latched error — build failures and reclaimer-drain failures alike —
+    // because FlushBuildJob short-circuits on the same combined check, so
+    // after either kind of error the queue would never shrink and this
+    // wait would deadlock.
+    std::unique_lock<std::mutex> lock(mu_);
+    flush_cv_.wait(lock, [this] {
+      return flush_queue_.size() < opts_.max_pending_flush_builds ||
+             !BackgroundErrorLocked().ok();
+    });
+    TC_RETURN_IF_ERROR(BackgroundErrorLocked());
+  }
+  // Rotate the WAL: the sealed generation's segment must survive on disk
+  // until its component is durable; new writes go to a fresh segment.
+  std::string frozen_wal;
+  if (wal_ != nullptr) {
+    TC_RETURN_IF_ERROR(wal_->Sync());
+    frozen_wal = wal_->path();
+    TC_ASSIGN_OR_RETURN(
+        auto next_wal, WriteAheadLog::Open(opts_.fs, WalSegmentPath(wal_seq_ + 1),
+                                           opts_.wal_sync_every));
+    ++wal_seq_;
+    wal_ = std::move(next_wal);
+  }
+  uint64_t cid = next_cid_++;
+  bool submit = false;
+  {
+    // The swap — all the writer pays: seal the generation, queue it for
+    // its pooled build (views keep reading it from the queue), hand new
+    // writes a fresh generation.
+    std::lock_guard<std::mutex> lock(mu_);
+    mem_->Seal();
     if (arbiter_reg_ != nullptr) {
-      // live -> sealed: the generation keeps counting against the write
-      // share until its component installs, so a backlogged build pipeline
-      // backpressures global victim selection.
-      opts_.arbiter->OnSeal(arbiter_reg_, sealed_bytes);
+      // live -> sealed until the component installs. Charged under mu_
+      // before queueing: a running build may install it once mu_ drops.
+      opts_.arbiter->OnSeal(arbiter_reg_, mem_->approximate_bytes());
     }
-    if (submit) {
-      // High lane: a flush build gates writer admission (TC_FLUSH_PENDING
-      // backpressure), so it must never queue behind a storm of merges.
-      flush_jobs_->Submit([this](bool canceled) { FlushBuildJob(canceled); },
-                          TaskPriority::kHigh);
+    flush_queue_.push_back(PendingFlush{cid, mem_, std::move(frozen_wal)});
+    stats_.flush_queue_high_water = std::max<uint64_t>(
+        stats_.flush_queue_high_water, flush_queue_.size());
+    mem_ = std::make_shared<MemTable>();
+    if (!flush_build_running_) {
+      flush_build_running_ = true;
+      submit = true;
     }
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  ScheduleMergesLocked();
+  if (submit) {
+    // High lane: a flush build gates writer admission (TC_FLUSH_PENDING
+    // backpressure), so it must never queue behind a storm of merges.
+    flush_jobs_->Submit([this](bool canceled) { FlushBuildJob(canceled); },
+                        TaskPriority::kHigh);
+  }
   return Status::OK();
 }
 
@@ -804,11 +802,10 @@ Result<std::shared_ptr<BtreeComponent>> LsmTree::BuildFlushComponent(
                                                     opts_.page_size, compressor_,
                                                     opts_.filter));
   TC_RETURN_IF_ERROR(transformer_->OnFlushBegin());
-  // Writer-side iteration is safe here: either this runs on the writer
-  // thread (inline mode, write_mu_ held) or `mem` is a sealed generation
-  // nothing mutates. Transformer calls are serialized in generation order —
-  // at most one flush build per tree at a time — because schema inference is
-  // stateful and order-dependent (§3.1.1).
+  // Iteration without the memtable lock is safe: `mem` is a sealed
+  // generation nothing mutates. Transformer calls are serialized in
+  // generation order — at most one flush build per tree at a time — because
+  // schema inference is stateful and order-dependent (§3.1.1).
   Buffer transformed;
   for (auto it = mem.begin(); it != mem.end(); ++it) {
     const MemTable::Entry& e = it->second;
@@ -839,36 +836,6 @@ Result<std::shared_ptr<BtreeComponent>> LsmTree::BuildFlushComponent(
                               compressor_, opts_.filter);
 }
 
-Status LsmTree::FlushMemtableInline() {
-  if (mem_->empty()) return Status::OK();
-  uint64_t cid = next_cid_++;
-  TC_ASSIGN_OR_RETURN(auto comp, BuildFlushComponent(*mem_, cid));
-  uint64_t phys = comp->physical_bytes();
-  size_t sealed_bytes = 0;
-  {
-    // The structure swap: install the component and retire the memtable
-    // generation in one atomic step, so every snapshot sees the record
-    // exactly once — in the generation before, in the component after.
-    std::lock_guard<std::mutex> lock(mu_);
-    stats_.bytes_flushed += comp->physical_bytes();
-    ++stats_.flush_count;
-    components_.insert(components_.begin(), std::move(comp));
-    stats_.component_count_high_water = std::max<uint64_t>(
-        stats_.component_count_high_water, components_.size());
-    mem_->Seal();  // frozen for good; views that pinned it keep reading it
-    sealed_bytes = mem_->approximate_bytes();
-    mem_ = std::make_shared<MemTable>();
-  }
-  if (arbiter_reg_ != nullptr) {
-    // Inline flushes seal and install in one step: the generation passes
-    // through sealed accounting and straight out.
-    opts_.arbiter->OnSeal(arbiter_reg_, sealed_bytes);
-    opts_.arbiter->OnFlushInstalled(arbiter_reg_, sealed_bytes, phys);
-  }
-  if (wal_ != nullptr) TC_RETURN_IF_ERROR(wal_->Reset());
-  return Status::OK();
-}
-
 void LsmTree::FlushBuildJob(bool canceled) {
   PendingFlush work;
   {
@@ -879,6 +846,10 @@ void LsmTree::FlushBuildJob(bool canceled) {
     if (canceled || !BackgroundErrorLocked().ok() || flush_queue_.empty()) {
       flush_build_running_ = false;
       flush_cv_.notify_all();
+      // Stuck queued generations must stop holding writers at the arbiter.
+      if (!canceled && !flush_queue_.empty() && arbiter_reg_ != nullptr) {
+        opts_.arbiter->OnFlushAbandoned(arbiter_reg_);
+      }
       return;
     }
     work = flush_queue_.front();  // stays queued: views must keep pinning it
@@ -893,6 +864,7 @@ void LsmTree::FlushBuildJob(bool canceled) {
       if (background_error_.ok()) background_error_ = built.status();
       flush_build_running_ = false;
       flush_cv_.notify_all();  // wake backpressured writers into the error
+      if (arbiter_reg_ != nullptr) opts_.arbiter->OnFlushAbandoned(arbiter_reg_);
       return;
     }
     // Install + dequeue in one atomic step: every snapshot sees the
@@ -913,12 +885,12 @@ void LsmTree::FlushBuildJob(bool canceled) {
     if (!more) flush_build_running_ = false;
     ScheduleMergesLocked();
     flush_cv_.notify_all();
-  }
-  if (arbiter_reg_ != nullptr) {
-    // Sealed accounting releases only now, when the memory is truly traded
-    // for a durable component (approximate_bytes is lock-free once sealed).
-    opts_.arbiter->OnFlushInstalled(arbiter_reg_, work.mem->approximate_bytes(),
-                                    phys);
+    if (arbiter_reg_ != nullptr) {
+      // Sealed accounting releases only now, when the memory is truly traded
+      // for a durable component (approximate_bytes is lock-free once sealed).
+      opts_.arbiter->OnFlushInstalled(arbiter_reg_,
+                                      work.mem->approximate_bytes(), phys);
+    }
   }
   // The generation is durable as a component; its WAL segment can go.
   if (!work.wal_path.empty()) {
@@ -1199,7 +1171,6 @@ double LsmTree::ScoreMergePlanLocked(const MergePlan& plan) const {
 }
 
 void LsmTree::ScheduleMergesLocked() {
-  if (opts_.merge_pool == nullptr) return;
   // Once an error is latched every further merge is doomed work; stop
   // cascading (the sticky error already gates writers).
   if (!background_error_.ok()) return;
@@ -1253,27 +1224,6 @@ void LsmTree::ScheduleMergesLocked() {
   }
 }
 
-Status LsmTree::MaybeMergeInline() {
-  // Inline: one policy decision per flush, rewritten on the writer thread.
-  // Readers stay unblocked either way — they only need `mu_`, which is held
-  // just for the decision and the final swap.
-  MergePlan plan;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    TC_ASSIGN_OR_RETURN(plan, DecideMergeLocked());
-  }
-  if (plan.inputs.empty()) return Status::OK();
-  MergePipelineCounters counters;
-  TC_ASSIGN_OR_RETURN(auto merged, BuildMergedComponent(plan, &counters));
-  uint64_t phys = merged->physical_bytes();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    InstallMergedLocked(plan, std::move(merged));
-    FoldMergeCountersLocked(counters, phys);
-  }
-  return reclaimer_->Drain();
-}
-
 void LsmTree::MergeJob(MergePlan plan, bool canceled) {
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -1320,13 +1270,11 @@ void LsmTree::MergeJob(MergePlan plan, bool canceled) {
 }
 
 Status LsmTree::WaitForMerges() {
-  if (flush_jobs_ != nullptr) {
-    // Flush installs schedule merges, so settle the flush group first; a
-    // drained build that cascaded re-fills the flush group only via writers,
-    // which callers have quiesced.
-    flush_jobs_->Wait();
-    merge_jobs_->Wait();
-  }
+  // Flush installs schedule merges, so settle the flush group first; a
+  // drained build that cascaded re-fills the flush group only via writers,
+  // which callers have quiesced.
+  flush_jobs_->Wait();
+  merge_jobs_->Wait();
   std::lock_guard<std::mutex> lock(mu_);
   return BackgroundErrorLocked();
 }
@@ -1386,10 +1334,8 @@ Status LsmTree::DestroyAll() {
   std::lock_guard<std::mutex> wlock(write_mu_);
   // Settle background work first (no cancel: completed merges make teardown
   // deterministic); nothing new is scheduled while we hold write_mu_.
-  if (flush_jobs_ != nullptr) {
-    flush_jobs_->Wait();
-    merge_jobs_->Wait();
-  }
+  flush_jobs_->Wait();
+  merge_jobs_->Wait();
   std::vector<std::shared_ptr<BtreeComponent>> doomed;
   std::vector<std::string> wal_segments;
   {

@@ -17,14 +17,13 @@
 //   * Writers are serialized by `write_mu_` (held across WAL append and
 //     memtable update) and take `mu_` only for the brief structure swaps —
 //     readers never wait out a flush or merge rewrite.
-//   * Flush seals the live generation and swaps in a fresh one. Without a
-//     merge pool the component build runs inline on the writer thread
-//     (deterministic — what unit tests use). With a pool the build is
-//     submitted to the shared executor: the writer pays only the generation
-//     swap and a WAL segment rotation, sealed generations stay readable from
-//     the flush queue until their component installs, and at most
+//   * All background work — flush builds and merges — runs on the TaskPool
+//     the tree is opened with. Flush seals the live generation, swaps in a
+//     fresh one and queues the sealed one for its build: the writer pays only
+//     the swap and a WAL segment rotation, sealed generations stay readable
+//     from the flush queue until their component installs, and at most
 //     `max_pending_flush_builds` generations may be queued before writers
-//     stall (backpressure).
+//     stall (backpressure). WaitForMerges() settles the layout.
 //   * Merges run concurrently per tree: the policy proposes plans over
 //     DISJOINT component ranges (components claimed by an in-flight merge
 //     are excluded from later decisions), up to `max_concurrent_merges` jobs
@@ -163,16 +162,14 @@ struct LsmTreeOptions {
   /// compactor's anti-schema processing and by secondary index maintenance).
   bool capture_old_versions = false;
   /// Shared background executor for merges and flush builds (not owned; must
-  /// outlive the tree). Null = all background work runs inline on the writer
-  /// thread after each flush.
+  /// outlive the tree). Required: Open rejects a null pool.
   TaskPool* merge_pool = nullptr;
   /// Cap on merges of THIS tree building concurrently on the pool (clamped
-  /// to >= 1; irrelevant without a pool). Disjoint plans beyond the cap stay
-  /// unscheduled until a running merge completes.
+  /// to >= 1). Disjoint plans beyond the cap stay unscheduled until a
+  /// running merge completes.
   size_t max_concurrent_merges = kDefaultMaxConcurrentMerges;
   /// Backpressure for pooled flush builds: writers stall once this many
-  /// sealed generations await their component build (clamped to >= 1;
-  /// irrelevant without a pool).
+  /// sealed generations await their component build (clamped to >= 1).
   size_t max_pending_flush_builds = kDefaultMaxPendingFlushBuilds;
   /// Node-level memory arbiter (not owned; must outlive the tree). When set,
   /// flush triggering is GLOBAL: the tree registers on Open, reports its
@@ -346,19 +343,23 @@ class LsmTree {
     Result<std::optional<Buffer>> GetDiskVersion(const BtreeKey& key) const;
 
     size_t component_count() const { return comps_.size(); }
-    const std::vector<std::shared_ptr<BtreeComponent>>& components() const {
+    /// Lvalue-only: a reference off a temporary view would dangle.
+    const std::vector<std::shared_ptr<BtreeComponent>>& components() const& {
       return comps_;
     }
-    /// The generation that was live at acquisition time.
-    const MemTable& memtable() const { return *mem_; }
+    void components() const&& = delete;
+    /// The generation that was live at acquisition time (lvalue-only).
+    const MemTable& memtable() const& { return *mem_; }
+    void memtable() const&& = delete;
     /// Sealed generations still awaiting their pooled flush build, newest
-    /// first — empty in the common case (inline flushes, or an idle queue).
-    /// Lookups and scans must consult memtable() first, then these in order
-    /// (newer shadows older).
+    /// first — empty in the common case (an idle flush queue). Lookups and
+    /// scans must consult memtable() first, then these in order (newer
+    /// shadows older).
     const std::vector<std::shared_ptr<const MemTable>>& pending_memtables()
-        const {
+        const& {
       return pending_mems_;
     }
+    void pending_memtables() const&& = delete;
     /// Total on-disk physical bytes of the pinned components (data files +
     /// LAFs) — the Figure 16 metric.
     uint64_t physical_bytes() const;
@@ -380,8 +381,9 @@ class LsmTree {
   };
   using ReadViewRef = std::shared_ptr<const ReadView>;
 
-  /// Opens (or creates) the tree; removes invalid components and replays the
-  /// WAL, then flushes the restored memtable (paper §3.1.2).
+  /// Opens (or creates) the tree; removes invalid components, replays the WAL
+  /// and waits for the restored memtable's flush build (paper §3.1.2).
+  /// Returns InvalidArgument when `merge_pool` is null.
   static Result<std::unique_ptr<LsmTree>> Open(LsmTreeOptions options);
 
   /// Cancels merge jobs that have not started, waits out running ones, then
@@ -438,17 +440,16 @@ class LsmTree {
   /// Point lookup skipping the memtable (the current on-disk version).
   Result<std::optional<Buffer>> GetDiskVersion(const BtreeKey& key);
 
-  /// Flushes the in-memory component if non-empty, then consults the merge
-  /// policy. Without a merge pool the build and any merges run inline; with
-  /// one, the sealed generation is queued for a pooled build (subject to the
-  /// max_pending_flush_builds backpressure) and Flush returns as soon as the
-  /// swap is done — call WaitForMerges() to quiesce.
+  /// Seals the in-memory component if non-empty and queues it for a pooled
+  /// build (subject to the max_pending_flush_builds backpressure); the build
+  /// schedules merges once it installs. With nothing to seal, schedules
+  /// whatever merges the policy proposes. Returns as soon as the swap is
+  /// done — call WaitForMerges() to quiesce.
   Status Flush();
 
   /// Blocks until no background work — merge or pooled flush build — is
   /// scheduled or running for this tree; returns the sticky background
-  /// error, if any (build failures and deferred-deletion failures alike). A
-  /// no-op without a merge pool.
+  /// error, if any (build failures and deferred-deletion failures alike).
   Status WaitForMerges();
 
   /// Builds a single on-disk component from externally sorted entries
@@ -576,27 +577,22 @@ class LsmTree {
   bool TryArbiterFlush();
   Status RecoverComponents();
   Status ReplayWal();
-  // Writer-side (write_mu_ held): flush + merge dispatch — inline builds
-  // without a pool, generation handoff + scheduling with one.
+  // Writer-side (write_mu_ held): seals the live generation, queues its
+  // pooled build, and schedules merges.
   Status FlushLocked();
-  // Writer-side: builds + installs the flushed component synchronously and
-  // resets the WAL (the no-pool path, and crash-recovery replay).
-  Status FlushMemtableInline();
   // Streams one sealed generation through the transformer into a component
-  // file. Runs on the writer thread (inline mode) or a pool thread (at most
-  // one flush build per tree at a time, in generation order — the
-  // transformer is stateful and schema evolution is order-dependent).
+  // file. Runs on a pool thread, at most one flush build per tree at a time,
+  // in generation order — the transformer is stateful and schema evolution
+  // is order-dependent.
   Result<std::shared_ptr<BtreeComponent>> BuildFlushComponent(
       const MemTable& mem, uint64_t cid);
   // Pool job: builds the oldest queued generation, installs it, reschedules
   // itself while generations remain queued.
   void FlushBuildJob(bool canceled);
-  // Inline-mode merging: one policy decision per flush on the writer thread.
-  Status MaybeMergeInline();
   // *Locked methods require `mu_` to be held by the caller.
   // Launches merge jobs for every disjoint plan the policy proposes, up to
   // max_concurrent_merges; claimed components are excluded from decisions.
-  // No-op without a pool or once an error is latched.
+  // No-op once an error is latched.
   void ScheduleMergesLocked();
   Result<MergePlan> DecideMergeLocked();
   void InstallMergedLocked(const MergePlan& plan,
@@ -677,13 +673,14 @@ class LsmTree {
   // stay live in the tree), but cancels queued FLUSH builds only when a WAL
   // backs the tree — without one, a sealed generation has no segment to
   // replay, so teardown must drain its build to stay lossless (the
-  // pk/secondary index trees run WAL-less). Null without a pool.
+  // pk/secondary index trees run WAL-less).
   std::unique_ptr<TaskGroup> flush_jobs_;
   std::unique_ptr<TaskGroup> merge_jobs_;
 
   std::shared_ptr<ComponentReclaimer> reclaimer_;
   std::shared_ptr<LsmReadCounters> counters_;
-  // Live from Open (after WAL replay) until the destructor unregisters; the
+  // Live from Open (after WAL replay) until the destructor detaches it under
+  // mu_ and unregisters; pool-side accounting reads it under mu_, and the
   // arbiter keeps it valid while any TryArbiterFlush dispatch is in flight.
   MemoryArbiter::Registration* arbiter_reg_ = nullptr;
   // Batch→WAL op conversion scratch, reused across batches (writer-side,

@@ -11,13 +11,12 @@
 
 #include "common/crc32.h"
 #include "common/rng.h"
+#include "common/task_pool.h"
 #include "lsm/bloom_filter.h"
 #include "lsm/lsm_tree.h"
 
 namespace tc {
 namespace {
-
-std::string S(const Buffer& b) { return std::string(b.begin(), b.end()); }
 
 struct FilterFixture {
   std::shared_ptr<FileSystem> fs = MakeMemFileSystem();
@@ -246,6 +245,7 @@ TEST(BloomFilter, PinnedPagesReleasedWhenComponentCloses) {
 struct TreeFixture {
   std::shared_ptr<FileSystem> fs = MakeMemFileSystem();
   BufferCache cache{4096, 2048};
+  TaskPool pool{1};  // outlives the trees each test opens after the fixture
 
   LsmTreeOptions Options() {
     LsmTreeOptions o;
@@ -256,6 +256,7 @@ struct TreeFixture {
     o.page_size = 4096;
     o.memtable_budget_bytes = 1 << 20;
     o.merge_policy = MakeNoMergePolicy();
+    o.merge_pool = &pool;
     o.wal_sync_every = 0;
     return o;
   }
@@ -270,9 +271,12 @@ TEST(BloomFilterTree, MissesAnswerWithoutTouchingPages) {
   // (odd key) would walk every component's B-tree.
   for (int64_t k = 0; k < 3000; ++k) {
     ASSERT_TRUE(t->Insert(BtreeKey{2 * k, 0}, "payload").ok());
-    if (k % 500 == 499) ASSERT_TRUE(t->Flush().ok());
+    if (k % 500 == 499) {
+      ASSERT_TRUE(t->Flush().ok());
+    }
   }
   ASSERT_TRUE(t->Flush().ok());
+  ASSERT_TRUE(t->WaitForMerges().ok());
   ASSERT_GE(t->component_count(), 4u);
 
   LsmStats before = t->stats();
@@ -304,6 +308,7 @@ TEST(BloomFilterTree, AllEntryPointsGoThroughTheFilterHelper) {
     ASSERT_TRUE(t->Insert(BtreeKey{k, 0}, "v").ok());
   }
   ASSERT_TRUE(t->Flush().ok());
+  ASSERT_TRUE(t->WaitForMerges().ok());
 
   // Get on a present key.
   uint64_t c0 = t->stats().filter_checks;
@@ -333,6 +338,7 @@ TEST(BloomFilterTree, KeyMayExistConsultedOnUpsertAndDelete) {
   auto t = LsmTree::Open(std::move(o)).ValueOrDie();
   ASSERT_TRUE(t->Insert(BtreeKey{1, 0}, "a").ok());
   ASSERT_TRUE(t->Flush().ok());
+  ASSERT_TRUE(t->WaitForMerges().ok());
 
   // Upsert of a key missing from the memtable consults the hook...
   ASSERT_TRUE(t->Upsert(BtreeKey{50, 0}, "b").ok());
@@ -359,6 +365,7 @@ TEST(BloomFilterTree, FalsePositivesAreCountedNotWrong) {
     ASSERT_TRUE(t->Insert(BtreeKey{k, 0}, "v").ok());
   }
   ASSERT_TRUE(t->Flush().ok());
+  ASSERT_TRUE(t->WaitForMerges().ok());
   for (int64_t k = 1; k < 2000; k += 2) {
     // In-fence absent keys: correctness first — every miss must still miss.
     ASSERT_FALSE(t->Get(BtreeKey{k, 0}).ValueOrDie().has_value());
@@ -377,15 +384,20 @@ TEST(BloomFilterTree, FiltersSurviveMergesAndRecovery) {
     auto t = LsmTree::Open(std::move(o)).ValueOrDie();
     for (int64_t k = 0; k < 4000; ++k) {
       ASSERT_TRUE(t->Insert(BtreeKey{k, 0}, "v").ok());
-      if (k % 800 == 799) ASSERT_TRUE(t->Flush().ok());
+      if (k % 800 == 799) {
+        ASSERT_TRUE(t->Flush().ok());
+      }
     }
     ASSERT_TRUE(t->Flush().ok());
+    ASSERT_TRUE(t->WaitForMerges().ok());
   }
   // Reopen: recovered components load their filters from disk.
   auto o = fx.Options();
   o.filter = BloomFilterConfig{10, true};
   auto t = LsmTree::Open(std::move(o)).ValueOrDie();
-  for (const auto& comp : t->View().components()) {
+  auto view = t->View();  // named: the loop borrows its component vector
+  ASSERT_GT(view.component_count(), 0u);
+  for (const auto& comp : view.components()) {
     EXPECT_TRUE(comp->has_filter()) << comp->path();
     EXPECT_FALSE(comp->filter_degraded());
   }

@@ -5,12 +5,11 @@
 //     memtable generation is retired, read-committed before);
 //   * retired component files are deleted only after the last view
 //     referencing them is released (deferred deletion);
-//   * merges scheduled on a shared TaskPool produce byte-identical content
-//     to inline merges.
-// With a pool, trees now also build flushed components on the executor and
-// run disjoint merges concurrently, so every pool-backed test here doubles as
-// coverage for that pipeline; merge_concurrency_test.cpp carries the
-// deterministic >= 2-concurrent-merges and error-injection suites.
+//   * merges scheduled on the shared TaskPool are semantically invisible.
+// Every tree builds flushed components on the pool and runs disjoint merges
+// concurrently, so every test here doubles as coverage for that pipeline;
+// merge_concurrency_test.cpp carries the deterministic >= 2-concurrent-merges
+// and error-injection suites.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -51,12 +50,11 @@ struct ConcurrencyFixture {
   BufferCache cache{4096, 2048};
   // Declared before any tree user so trees (which wait out their scheduled
   // merges on destruction) die first.
-  std::unique_ptr<TaskPool> pool;
+  TaskPool pool{2};
 
   std::unique_ptr<LsmTree> Open(size_t memtable_bytes,
                                 std::shared_ptr<MergePolicy> policy,
-                                bool use_pool, const std::string& name = "t") {
-    if (use_pool && pool == nullptr) pool = std::make_unique<TaskPool>(2);
+                                const std::string& name = "t") {
     LsmTreeOptions o;
     o.fs = fs;
     o.cache = &cache;
@@ -65,9 +63,16 @@ struct ConcurrencyFixture {
     o.page_size = 4096;
     o.memtable_budget_bytes = memtable_bytes;
     o.merge_policy = std::move(policy);
-    o.merge_pool = use_pool ? pool.get() : nullptr;
+    o.merge_pool = &pool;
     o.wal_sync_every = 0;
     return LsmTree::Open(std::move(o)).ValueOrDie();
+  }
+
+  /// Flush, then settle the pooled build and every merge it schedules, so
+  /// the test observes one deterministic component layout.
+  static Status FlushAndWait(LsmTree* t) {
+    TC_RETURN_IF_ERROR(t->Flush());
+    return t->WaitForMerges();
   }
 
   /// Number of live ".btree" data files of tree `name` on disk.
@@ -89,7 +94,7 @@ struct ConcurrencyFixture {
 // fresh snapshot).
 TEST(Concurrency, ReadersNeverTornDuringFlushAndMerge) {
   ConcurrencyFixture fx;
-  auto t = fx.Open(2 * 1024, MakeTieredMergePolicy(3, 2), /*use_pool=*/true);
+  auto t = fx.Open(2 * 1024, MakeTieredMergePolicy(3, 2));
   constexpr int64_t kKeys = 48;
   constexpr uint64_t kRounds = 60;
   for (int64_t k = 0; k < kKeys; ++k) {
@@ -173,13 +178,13 @@ TEST(Concurrency, ReadersNeverTornDuringFlushAndMerge) {
 // readable; the files disappear exactly when the last reference releases.
 TEST(Concurrency, DeferredDeletionWaitsForLastView) {
   ConcurrencyFixture fx;
-  auto t = fx.Open(1 << 20, MakeConstantMergePolicy(2), /*use_pool=*/false);
+  auto t = fx.Open(1 << 20, MakeConstantMergePolicy(2));
   for (int round = 0; round < 2; ++round) {
     for (int i = 0; i < 4; ++i) {
       int64_t k = round * 4 + i;
       ASSERT_TRUE(t->Insert(BtreeKey{k, 0}, "r" + std::to_string(round)).ok());
     }
-    ASSERT_TRUE(t->Flush().ok());
+    ASSERT_TRUE(fx.FlushAndWait(t.get()).ok());
   }
   ASSERT_EQ(t->component_count(), 2u);
   ASSERT_EQ(fx.ComponentFilesOnDisk(), 2u);
@@ -195,7 +200,7 @@ TEST(Concurrency, DeferredDeletionWaitsForLastView) {
   for (int i = 8; i < 12; ++i) {
     ASSERT_TRUE(t->Insert(BtreeKey{i, 0}, "r2").ok());
   }
-  ASSERT_TRUE(t->Flush().ok());
+  ASSERT_TRUE(fx.FlushAndWait(t.get()).ok());
   ASSERT_EQ(t->component_count(), 1u);
   EXPECT_EQ(fx.ComponentFilesOnDisk(), 3u);  // 1 live + 2 retired-but-pinned
 
@@ -219,7 +224,7 @@ TEST(Concurrency, DeferredDeletionWaitsForLastView) {
 // freezes it for good.
 TEST(Concurrency, ViewFreezesWhenItsGenerationRetires) {
   ConcurrencyFixture fx;
-  auto t = fx.Open(1 << 20, MakeNoMergePolicy(), /*use_pool=*/false);
+  auto t = fx.Open(1 << 20, MakeNoMergePolicy());
   ASSERT_TRUE(t->Insert(BtreeKey{1, 0}, "one").ok());
   auto view = t->AcquireView();
   EXPECT_EQ(S(*view->Get(BtreeKey{1, 0}).ValueOrDie()), "one");
@@ -252,7 +257,7 @@ TEST(Concurrency, ViewFreezesWhenItsGenerationRetires) {
 // scan agree with the model once the background work drains.
 TEST(Concurrency, PoolMergesMatchModelUnderChurn) {
   ConcurrencyFixture fx;
-  auto t = fx.Open(2 * 1024, MakeTieredMergePolicy(3, 2), /*use_pool=*/true);
+  auto t = fx.Open(2 * 1024, MakeTieredMergePolicy(3, 2));
   std::map<int64_t, std::string> model;
   Rng rng(4242);
   for (int op = 0; op < 3000; ++op) {
@@ -297,7 +302,7 @@ TEST(Concurrency, PoolMergesMatchModelUnderChurn) {
 // every view is gone, the files on disk are exactly the live components'.
 TEST(Concurrency, AllRetiredFilesEventuallyReclaimed) {
   ConcurrencyFixture fx;
-  auto t = fx.Open(2 * 1024, MakeTieredMergePolicy(3, 2), /*use_pool=*/true);
+  auto t = fx.Open(2 * 1024, MakeTieredMergePolicy(3, 2));
   std::atomic<bool> done{false};
   std::atomic<bool> failed{false};
   std::vector<std::thread> readers;
@@ -337,9 +342,9 @@ TEST(Concurrency, AllRetiredFilesEventuallyReclaimed) {
 // out from under live snapshots.
 TEST(Concurrency, DestroyAllRespectsLiveViews) {
   ConcurrencyFixture fx;
-  auto t = fx.Open(1 << 20, MakeNoMergePolicy(), /*use_pool=*/false);
+  auto t = fx.Open(1 << 20, MakeNoMergePolicy());
   ASSERT_TRUE(t->Insert(BtreeKey{1, 0}, "keep").ok());
-  ASSERT_TRUE(t->Flush().ok());
+  ASSERT_TRUE(fx.FlushAndWait(t.get()).ok());
   auto pinned = t->AcquireView();
   ASSERT_TRUE(t->DestroyAll().ok());
   // The tree is empty, but the pinned snapshot still reads its component.
@@ -357,7 +362,7 @@ TEST(Concurrency, DestroyAllRespectsLiveViews) {
 // correct answers) even after its component retires into the reclaimer.
 TEST(Concurrency, FilteredLookupStormDuringFlushAndMerge) {
   ConcurrencyFixture fx;
-  auto t = fx.Open(2 * 1024, MakeTieredMergePolicy(3, 2), /*use_pool=*/true);
+  auto t = fx.Open(2 * 1024, MakeTieredMergePolicy(3, 2));
   constexpr int64_t kKeys = 64;  // even keys present, odd keys always absent
   constexpr uint64_t kRounds = 40;
   for (int64_t k = 0; k < kKeys; ++k) {
@@ -430,13 +435,13 @@ TEST(Concurrency, FilteredLookupStormDuringFlushAndMerge) {
 // through the pinned view stay correct and still consult filters.
 TEST(Concurrency, PinnedViewKeepsRetiredFiltersValid) {
   ConcurrencyFixture fx;
-  auto t = fx.Open(1 << 20, MakeConstantMergePolicy(2), /*use_pool=*/false);
+  auto t = fx.Open(1 << 20, MakeConstantMergePolicy(2));
   for (int round = 0; round < 2; ++round) {
     for (int i = 0; i < 8; ++i) {
       int64_t k = round * 8 + i;
       ASSERT_TRUE(t->Insert(BtreeKey{k, 0}, "r" + std::to_string(round)).ok());
     }
-    ASSERT_TRUE(t->Flush().ok());
+    ASSERT_TRUE(fx.FlushAndWait(t.get()).ok());
   }
   auto pinned = t->AcquireView();
   ASSERT_EQ(pinned->component_count(), 2u);
@@ -449,7 +454,7 @@ TEST(Concurrency, PinnedViewKeepsRetiredFiltersValid) {
   for (int i = 16; i < 20; ++i) {
     ASSERT_TRUE(t->Insert(BtreeKey{i, 0}, "r2").ok());
   }
-  ASSERT_TRUE(t->Flush().ok());
+  ASSERT_TRUE(fx.FlushAndWait(t.get()).ok());
   ASSERT_EQ(t->component_count(), 1u);
 
   uint64_t checks_before = t->stats().filter_checks;

@@ -17,6 +17,21 @@ using testutil::SmallOptions;
 
 AdmValue R(const std::string& text) { return ParseAdm(text).ValueOrDie(); }
 
+TEST(Dataset, OpenRejectsNullMergePool) {
+  auto fs = MakeMemFileSystem();
+  DatasetOptions o = SmallOptions(SchemaMode::kInferred);
+  BufferCache cache(o.page_size, 64);
+  o.fs = fs;
+  o.cache = &cache;
+  o.dir = "mem";
+  ASSERT_EQ(o.merge_pool, nullptr);
+  auto opened = Dataset::Open(std::move(o), 2);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+  // Rejected before any tree opened: nothing was created on disk.
+  EXPECT_TRUE(fs->List("mem", "").ValueOrDie().empty());
+}
+
 class DatasetModes : public ::testing::TestWithParam<SchemaMode> {};
 
 TEST_P(DatasetModes, InsertGetFlushGet) {

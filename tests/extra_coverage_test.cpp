@@ -84,12 +84,14 @@ TEST(LsmIterator, SeekAcrossComponentsAndMemtable) {
                                std::string(200, 'x') + R"("})"))
                     .ok());
   }
+  ASSERT_TRUE(fx.dataset->WaitForBackgroundWork().ok());
   LsmTree* tree = fx.dataset->partition(0)->primary();
   // The prefix policy may have merged the small flushed components back into
   // one; what matters is that the iterator merges disk component(s) with the
   // live memtable tail.
-  EXPECT_GE(tree->component_count(), 1u);
-  EXPECT_FALSE(tree->View().memtable().empty());
+  auto view = tree->View();
+  EXPECT_GE(view.component_count(), 1u);
+  EXPECT_FALSE(view.memtable().empty());
   LsmTree::Iterator it(tree);
   ASSERT_TRUE(it.Seek(BtreeKey{150, 0}).ok());
   ASSERT_TRUE(it.Valid());
@@ -171,7 +173,9 @@ TEST(FlushTransformer, CorruptPayloadFailsFlushSafely) {
                                                 garbage.data()),
                                             garbage.size()))
                   .ok());
+  // The pooled build fails and latches the error WaitForMerges surfaces.
   Status st = tree->Flush();
+  if (st.ok()) st = tree->WaitForMerges();
   EXPECT_FALSE(st.ok());
 }
 

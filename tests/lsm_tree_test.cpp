@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "common/rng.h"
+#include "common/task_pool.h"
 #include "lsm/lsm_tree.h"
 
 namespace tc {
@@ -13,6 +14,9 @@ namespace {
 struct LsmFixture {
   std::shared_ptr<FileSystem> fs = MakeMemFileSystem();
   BufferCache cache{4096, 2048};
+  // One worker: flush builds and merges run in a deterministic order. Trees
+  // opened from the fixture are destroyed before it.
+  TaskPool pool{1};
 
   std::unique_ptr<LsmTree> Open(size_t memtable_bytes = 8 * 1024,
                                 CompressionKind codec = CompressionKind::kNone,
@@ -27,6 +31,7 @@ struct LsmFixture {
     o.compression = codec;
     o.merge_policy = policy ? std::move(policy)
                             : MakePrefixMergePolicy(1 << 20, 4);
+    o.merge_pool = &pool;
     o.wal_sync_every = 0;
     return LsmTree::Open(std::move(o)).ValueOrDie();
   }
@@ -34,15 +39,37 @@ struct LsmFixture {
 
 std::string S(const Buffer& b) { return std::string(b.begin(), b.end()); }
 
+// Flush() only queues the sealed generation; tests that inspect the tree's
+// shape settle the pooled build and any merges it schedules first.
+Status FlushAndWait(LsmTree* t) {
+  TC_RETURN_IF_ERROR(t->Flush());
+  return t->WaitForMerges();
+}
+
+TEST(LsmTree, OpenRejectsNullMergePool) {
+  LsmFixture fx;
+  LsmTreeOptions o;
+  o.fs = fx.fs;
+  o.cache = &fx.cache;
+  o.dir = "lsm";
+  o.name = "nopool";
+  o.page_size = 4096;
+  auto opened = LsmTree::Open(std::move(o));
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(LsmTree, InsertGetAcrossFlush) {
   LsmFixture fx;
   auto t = fx.Open();
   ASSERT_TRUE(t->Insert(BtreeKey{1, 0}, "one").ok());
   ASSERT_TRUE(t->Insert(BtreeKey{2, 0}, "two").ok());
   EXPECT_EQ(S(*t->Get(BtreeKey{1, 0}).ValueOrDie()), "one");
-  ASSERT_TRUE(t->Flush().ok());
-  EXPECT_EQ(t->component_count(), 1u);
-  EXPECT_TRUE(t->View().memtable().empty());
+  ASSERT_TRUE(FlushAndWait(t.get()).ok());
+  auto view = t->View();
+  EXPECT_EQ(view.component_count(), 1u);
+  EXPECT_TRUE(view.memtable().empty());
+  EXPECT_TRUE(view.pending_memtables().empty());
   EXPECT_EQ(S(*t->Get(BtreeKey{1, 0}).ValueOrDie()), "one");
   EXPECT_FALSE(t->Get(BtreeKey{3, 0}).ValueOrDie().has_value());
 }
@@ -54,10 +81,11 @@ TEST(LsmTree, DeleteAddsAntiMatterThatShadowsDiskVersion) {
   ASSERT_TRUE(t->Flush().ok());
   ASSERT_TRUE(t->Delete(BtreeKey{1, 0}, nullptr).ok());
   EXPECT_FALSE(t->Get(BtreeKey{1, 0}).ValueOrDie().has_value());
-  ASSERT_TRUE(t->Flush().ok());
+  ASSERT_TRUE(FlushAndWait(t.get()).ok());
   // Two components: the newer one carries the anti-matter entry (§2.2).
-  EXPECT_EQ(t->component_count(), 2u);
-  EXPECT_EQ(t->View().components()[0]->meta().n_anti, 1u);
+  auto view = t->View();
+  EXPECT_EQ(view.component_count(), 2u);
+  EXPECT_EQ(view.components()[0]->meta().n_anti, 1u);
   EXPECT_FALSE(t->Get(BtreeKey{1, 0}).ValueOrDie().has_value());
 }
 
@@ -69,7 +97,7 @@ TEST(LsmTree, MergeAnnihilatesAntiMatter) {
   ASSERT_TRUE(t->Flush().ok());  // C0
   ASSERT_TRUE(t->Delete(BtreeKey{0, 0}, nullptr).ok());
   ASSERT_TRUE(t->Insert(BtreeKey{2, 0}, "bob").ok());
-  ASSERT_TRUE(t->Flush().ok());  // C1 with anti-matter for key 0 (Figure 4a)
+  ASSERT_TRUE(FlushAndWait(t.get()).ok());  // C1: anti-matter for key 0 (Fig. 4a)
   ASSERT_EQ(t->component_count(), 2u);
 
   // The merged view annihilates key 0 (Figure 4b): the anti-matter entry and
@@ -98,7 +126,7 @@ TEST(LsmTree, MergedComponentIdSpansRange) {
           t->Upsert(BtreeKey{round * 3 + i, 0}, "v" + std::to_string(round), nullptr)
               .ok());
     }
-    ASSERT_TRUE(t->Flush().ok());
+    ASSERT_TRUE(FlushAndWait(t.get()).ok());
   }
   // Constant policy (k=2) merged everything into one [C1..C3] component.
   auto view = t->View();
@@ -119,11 +147,12 @@ TEST(LsmTree, UpsertCapturesOldDiskVersionOnce) {
   o.page_size = 4096;
   o.memtable_budget_bytes = 1 << 20;
   o.capture_old_versions = true;
+  o.merge_pool = &fx.pool;
   o.wal_sync_every = 0;
   auto t = LsmTree::Open(std::move(o)).ValueOrDie();
 
   ASSERT_TRUE(t->Insert(BtreeKey{1, 0}, "disk_v1").ok());
-  ASSERT_TRUE(t->Flush().ok());
+  ASSERT_TRUE(FlushAndWait(t.get()).ok());
   std::optional<Buffer> old;
   ASSERT_TRUE(t->Upsert(BtreeKey{1, 0}, "v2", &old).ok());
   ASSERT_TRUE(old.has_value());
@@ -149,9 +178,10 @@ TEST(LsmTree, KeyMayExistFilterSkipsLookups) {
   o.capture_old_versions = true;
   o.wal_sync_every = 0;
   o.key_may_exist = [](const BtreeKey&) { return false; };  // "all keys new"
+  o.merge_pool = &fx.pool;
   auto t = LsmTree::Open(std::move(o)).ValueOrDie();
   ASSERT_TRUE(t->Insert(BtreeKey{1, 0}, "a").ok());
-  ASSERT_TRUE(t->Flush().ok());
+  ASSERT_TRUE(FlushAndWait(t.get()).ok());
   ASSERT_TRUE(t->Upsert(BtreeKey{2, 0}, "b", nullptr).ok());
   EXPECT_EQ(t->stats().old_version_lookups, 0u);  // filter said no
 }
@@ -164,6 +194,7 @@ TEST(LsmTree, AutoFlushOnBudgetAndPrefixMergeBound) {
   for (int i = 0; i < 400; ++i) {
     ASSERT_TRUE(t->Insert(BtreeKey{i, 0}, payload).ok());
   }
+  ASSERT_TRUE(t->WaitForMerges().ok());
   EXPECT_GT(t->stats().flush_count, 1u);
   EXPECT_GT(t->stats().merge_count, 0u);
   // The prefix policy keeps the small-component count bounded.
@@ -265,7 +296,8 @@ TEST(LsmTree, MalformedMergeDecisionRejectedNotCrashed) {
     auto t = fx.Open(8 * 1024, CompressionKind::kNone,
                      std::make_shared<RiggedPolicy>(3, 1));
     ASSERT_TRUE(t->Insert(BtreeKey{1, 0}, "v").ok());
-    Status st = t->Flush();
+    // The rejected decision latches as the sticky background error.
+    Status st = FlushAndWait(t.get());
     EXPECT_FALSE(st.ok());
     EXPECT_NE(st.message().find("invalid range"), std::string::npos);
   }
@@ -275,7 +307,7 @@ TEST(LsmTree, MalformedMergeDecisionRejectedNotCrashed) {
     auto t = fx.Open(8 * 1024, CompressionKind::kNone,
                      std::make_shared<RiggedPolicy>(0, 99));
     ASSERT_TRUE(t->Insert(BtreeKey{1, 0}, "v").ok());
-    EXPECT_FALSE(t->Flush().ok());
+    EXPECT_FALSE(FlushAndWait(t.get()).ok());
   }
   {
     // Degenerate-but-well-formed ranges are a quiet no-merge, not an error.
@@ -283,7 +315,7 @@ TEST(LsmTree, MalformedMergeDecisionRejectedNotCrashed) {
     auto t = fx.Open(8 * 1024, CompressionKind::kNone,
                      std::make_shared<RiggedPolicy>(0, 0));
     ASSERT_TRUE(t->Insert(BtreeKey{1, 0}, "v").ok());
-    EXPECT_TRUE(t->Flush().ok());
+    EXPECT_TRUE(FlushAndWait(t.get()).ok());
     EXPECT_EQ(t->component_count(), 1u);
   }
 }
@@ -296,7 +328,7 @@ TEST(LsmTree, StatsTrackWriteAmpAndComponentHighWater) {
     for (int i = 0; i < 8; ++i) {
       ASSERT_TRUE(t->Insert(BtreeKey{round * 8 + i, 0}, payload).ok());
     }
-    ASSERT_TRUE(t->Flush().ok());
+    ASSERT_TRUE(FlushAndWait(t.get()).ok());
   }
   // constant(2) merges everything whenever a flush pushes the count to 3, so
   // the high-water mark is exactly 3 (flushes 1-4 leave 1, 2, 3→1, 2 live).
@@ -345,6 +377,7 @@ TEST(LsmTree, ConcurrentReadersDuringFlushAndMerge) {
   done.store(true, std::memory_order_release);
   for (auto& th : readers) th.join();
   EXPECT_FALSE(reader_failed.load());
+  ASSERT_TRUE(t->WaitForMerges().ok());
   EXPECT_GT(t->stats().merge_count, 0u);
 }
 

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <string>
 #include <thread>
 #include <vector>
@@ -199,12 +200,64 @@ TEST(MemoryArbiter, AdaptShrinksWriteShareWhenMissRateClimbs) {
 
 // --- Multi-tree arbitration over real LSM trees ----------------------------
 
+TEST(MemoryArbiter, WritersStallAtCeilingUntilSealedBytesDrain) {
+  MemoryArbiter::Options o;
+  o.total_budget_bytes = 256 * 1024;
+  o.write_pct = 50;
+  o.adaptive = false;
+  MemoryArbiter arb(o);
+  const size_t ceiling =
+      MemoryArbiter::kWriteCeilingShares * arb.write_share_bytes();
+  // Floors above any size used here: no victim dispatch, only the stall.
+  auto* writer = arb.Register("writer", 1 << 30, [] { return false; });
+  auto* builder = arb.Register("builder", 1 << 30, [] { return false; });
+
+  // Below the ceiling nothing waits.
+  arb.OnSeal(builder, ceiling - 4096);
+  EXPECT_FALSE(arb.OnPostWrite(writer, 1024));
+  EXPECT_EQ(arb.stats().write_stalls, 0u);
+
+  // At the ceiling the writer parks until the build installs.
+  arb.OnSeal(builder, 4096);
+  std::atomic<bool> returned{false};
+  std::thread w([&] {
+    arb.OnPostWrite(writer, 2048);
+    returned.store(true);
+  });
+  while (arb.stats().write_stalls < 1) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(returned.load());
+  arb.OnFlushInstalled(builder, ceiling, 0);
+  w.join();
+  EXPECT_TRUE(returned.load());
+  EXPECT_EQ(arb.stats().write_bytes_sealed, 0u);
+
+  // Sealed bytes whose builds stopped on an error stay counted but release
+  // the stall: nothing would ever drain them.
+  arb.OnSeal(builder, ceiling);
+  returned.store(false);
+  std::thread w2([&] {
+    arb.OnPostWrite(writer, 4096);
+    returned.store(true);
+  });
+  while (arb.stats().write_stalls < 2) std::this_thread::yield();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(returned.load());
+  arb.OnFlushAbandoned(builder);
+  w2.join();
+  EXPECT_FALSE(arb.OnPostWrite(writer, 8192));  // no longer waits
+  EXPECT_EQ(arb.stats().write_stalls, 2u);
+  EXPECT_EQ(arb.stats().write_bytes_sealed, ceiling);
+  arb.Unregister(builder);
+  arb.Unregister(writer);
+}
+
 struct ArbiterTreesFixture {
   std::shared_ptr<FileSystem> fs = MakeMemFileSystem();
   BufferCache cache{4096, 2048};
+  TaskPool pool{2};  // flush builds of every tree; outlives the trees
 
-  std::unique_ptr<LsmTree> Open(MemoryArbiter* arb, const std::string& name,
-                                TaskPool* pool = nullptr) {
+  std::unique_ptr<LsmTree> Open(MemoryArbiter* arb, const std::string& name) {
     LsmTreeOptions o;
     o.fs = fs;
     o.cache = &cache;
@@ -213,7 +266,7 @@ struct ArbiterTreesFixture {
     o.page_size = 4096;
     o.merge_policy = MakeNoMergePolicy();
     o.use_wal = false;
-    o.merge_pool = pool;
+    o.merge_pool = &pool;
     o.arbiter = arb;
     o.arbiter_floor_bytes = 1024;
     return LsmTree::Open(std::move(o)).ValueOrDie();
@@ -235,11 +288,10 @@ TEST(MemoryArbiter, MultiTreeBudgetRespectedUnderConcurrentIngest) {
     trees.push_back(fx.Open(&arb, "t" + std::to_string(i)));
   }
 
-  // Inline flushes (no pool): the enforced bound is the arbiter's hard
-  // ceiling — live memory under 2x the share (a skipped dispatch past that
-  // makes the caller drain itself), plus slack for floors and records in
-  // flight. Sealed bytes are transient here (a generation mid-build, drained
-  // synchronously), so live + sealed gets extra headroom.
+  // Two enforced bounds, plus slack for floors and records in flight: live
+  // memory under 2x the share (a skipped dispatch past that makes the caller
+  // drain itself), and live + sealed under 4x the share (writers stall at
+  // that ceiling until a pooled build installs and releases sealed bytes).
   constexpr uint64_t kWrites = 3000;
   std::atomic<bool> done{false};
   std::atomic<bool> violated{false};
@@ -272,7 +324,10 @@ TEST(MemoryArbiter, MultiTreeBudgetRespectedUnderConcurrentIngest) {
 
   MemoryArbiter::Stats s = arb.stats();
   EXPECT_GT(s.global_flushes_triggered + s.self_flushes_triggered, 0u);
-  for (auto& t : trees) ASSERT_TRUE(t->Flush().ok());
+  for (auto& t : trees) {
+    ASSERT_TRUE(t->Flush().ok());
+    ASSERT_TRUE(t->WaitForMerges().ok());
+  }
   s = arb.stats();
   EXPECT_EQ(s.write_bytes_live + s.write_bytes_sealed, 0u);
 
@@ -292,12 +347,11 @@ TEST(MemoryArbiter, PooledFlushBuildsComposeWithGlobalVictims) {
   o.adaptive = false;
   MemoryArbiter arb(o);
 
-  TaskPool pool(2);
   ArbiterTreesFixture fx;
   constexpr size_t kTrees = 3;
   std::vector<std::unique_ptr<LsmTree>> trees;
   for (size_t i = 0; i < kTrees; ++i) {
-    trees.push_back(fx.Open(&arb, "p" + std::to_string(i), &pool));
+    trees.push_back(fx.Open(&arb, "p" + std::to_string(i)));
   }
   constexpr uint64_t kWrites = 2000;
   std::vector<std::thread> writers;
@@ -499,6 +553,7 @@ TEST(MemoryArbiter, TreeBuildsChargeBackgroundScratch) {
   MemoryArbiter arb(o);
   auto fs = MakeMemFileSystem();
   BufferCache cache(4096, 512);
+  TaskPool pool(1);
   {
     LsmTreeOptions t;
     t.fs = fs;
@@ -509,16 +564,19 @@ TEST(MemoryArbiter, TreeBuildsChargeBackgroundScratch) {
     t.memtable_budget_bytes = 1 << 20;
     t.merge_policy = MakeConstantMergePolicy(1);
     t.arbiter = &arb;
+    t.merge_pool = &pool;
     t.wal_sync_every = 0;
     auto tree = LsmTree::Open(std::move(t)).ValueOrDie();
     for (int64_t k = 0; k < 32; ++k) {
       ASSERT_TRUE(tree->Insert(BtreeKey{k, 0}, "vvvv").ok());
     }
     ASSERT_TRUE(tree->Flush().ok());
+    ASSERT_TRUE(tree->WaitForMerges().ok());
     for (int64_t k = 32; k < 64; ++k) {
       ASSERT_TRUE(tree->Insert(BtreeKey{k, 0}, "vvvv").ok());
     }
-    ASSERT_TRUE(tree->Flush().ok());  // flush build + inline merge rewrite
+    ASSERT_TRUE(tree->Flush().ok());  // flush build, then one merge rewrite
+    ASSERT_TRUE(tree->WaitForMerges().ok());
   }
   MemoryArbiter::Stats s = arb.stats();
   EXPECT_GE(s.background_charges, 3u);  // two flush builds + one merge

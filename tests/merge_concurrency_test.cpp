@@ -110,9 +110,8 @@ struct Fixture {
                                 size_t pool_threads, size_t max_merges,
                                 size_t max_pending = 2,
                                 size_t memtable_bytes = 1 << 20,
-                                bool capture_old = false, bool use_wal = true,
-                                bool use_pool = true) {
-    if (use_pool && pool == nullptr) pool = std::make_unique<TaskPool>(pool_threads);
+                                bool capture_old = false, bool use_wal = true) {
+    if (pool == nullptr) pool = std::make_unique<TaskPool>(pool_threads);
     LsmTreeOptions o;
     o.fs = fs;
     o.cache = &cache;
@@ -121,7 +120,7 @@ struct Fixture {
     o.page_size = 4096;
     o.memtable_budget_bytes = memtable_bytes;
     o.merge_policy = std::move(policy);
-    o.merge_pool = use_pool ? pool.get() : nullptr;
+    o.merge_pool = pool.get();
     o.max_concurrent_merges = max_merges;
     o.max_pending_flush_builds = max_pending;
     o.capture_old_versions = capture_old;
@@ -505,11 +504,20 @@ TEST(MergeConcurrency, TeardownDrainsFlushBuildsOfWalLessTrees) {
   fx.pool = std::make_unique<TaskPool>(1);
   std::mutex mu;
   std::condition_variable cv;
+  bool started = false;
   bool release = false;
   fx.pool->Submit([&] {
     std::unique_lock<std::mutex> lock(mu);
+    started = true;
+    cv.notify_all();
     cv.wait_for(lock, std::chrono::seconds(30), [&] { return release; });
   });
+  {
+    // The build rides the high lane: it would overtake a blocker the worker
+    // has not dequeued yet.
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return started; });
+  }
   auto t = fx.Open(MakeNoMergePolicy(), /*pool_threads=*/1, /*max_merges=*/1,
                    /*max_pending=*/2, /*memtable_bytes=*/1 << 20,
                    /*capture_old=*/false, /*use_wal=*/false);
@@ -525,12 +533,12 @@ TEST(MergeConcurrency, TeardownDrainsFlushBuildsOfWalLessTrees) {
   cv.notify_all();
   destroyer.join();
   // The build ran during teardown: the component exists, so reopening (no
-  // pool, no WAL) still finds the record.
+  // WAL to replay) still finds the record.
   EXPECT_EQ(fx.ComponentFilesOnDisk(), 1u);
   auto reopened =
       fx.Open(MakeNoMergePolicy(), /*pool_threads=*/1, /*max_merges=*/1,
               /*max_pending=*/2, /*memtable_bytes=*/1 << 20,
-              /*capture_old=*/false, /*use_wal=*/false, /*use_pool=*/false);
+              /*capture_old=*/false, /*use_wal=*/false);
   EXPECT_EQ(S(*reopened->Get(BtreeKey{1, 0}).ValueOrDie()), "must-survive");
 }
 

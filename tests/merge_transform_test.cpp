@@ -260,6 +260,7 @@ TEST(MergeTransform, SchemalessIngestConvergesUnderMergeCascade) {
 struct TreeFixture {
   std::shared_ptr<FileSystem> fs = MakeMemFileSystem();
   BufferCache cache{4096, 1024};
+  TaskPool pool{1};  // one worker: deterministic builds; outlives the trees
 
   LsmTreeOptions Options() {
     LsmTreeOptions o;
@@ -270,6 +271,7 @@ struct TreeFixture {
     o.page_size = 4096;
     o.memtable_budget_bytes = 1 << 20;
     o.merge_policy = MakeConstantMergePolicy(1);
+    o.merge_pool = &pool;
     o.wal_sync_every = 0;
     return o;
   }
@@ -289,10 +291,12 @@ TEST(MergeRecompress, BottomMergeSwitchesToHeavierCodecAndStaysReadable) {
       ASSERT_TRUE(t->Insert(BtreeKey{k, 0}, v).ok());
     }
     ASSERT_TRUE(t->Flush().ok());
+    ASSERT_TRUE(t->WaitForMerges().ok());
     for (int64_t k = 50; k < 100; ++k) {
       ASSERT_TRUE(t->Insert(BtreeKey{k, 0}, v).ok());
     }
-    ASSERT_TRUE(t->Flush().ok());  // constant(1): inline full merge
+    ASSERT_TRUE(t->Flush().ok());  // constant(1): full merge after install
+    ASSERT_TRUE(t->WaitForMerges().ok());
 
     LsmStats s = t->stats();
     EXPECT_GT(s.merge_count, 0u);
@@ -331,6 +335,7 @@ TEST(MergeRecompress, NonBottomMergeKeepsTheTreeCodec) {
     ASSERT_TRUE(t->Insert(BtreeKey{k, 0}, "payload").ok());
   }
   ASSERT_TRUE(t->Flush().ok());
+  ASSERT_TRUE(t->WaitForMerges().ok());
   auto view = t->View();
   ASSERT_EQ(view.component_count(), 1u);
   // Flush output: tree codec, untouched by the recompression tier.

@@ -34,10 +34,14 @@ void WriteFileBytes(FileSystem* fs, const std::string& path,
   TC_CHECK(f->Sync().ok());
 }
 
-LsmTreeOptions BaseOptions(std::shared_ptr<FileSystem> fs, BufferCache* cache) {
+// Each test declares a one-worker pool (deterministic build order) before
+// its trees, so it outlives them.
+LsmTreeOptions BaseOptions(std::shared_ptr<FileSystem> fs, BufferCache* cache,
+                           TaskPool* pool) {
   LsmTreeOptions o;
   o.fs = std::move(fs);
   o.cache = cache;
+  o.merge_pool = pool;
   o.dir = "rec";
   o.name = "t";
   o.page_size = 4096;
@@ -46,19 +50,29 @@ LsmTreeOptions BaseOptions(std::shared_ptr<FileSystem> fs, BufferCache* cache) {
   return o;
 }
 
+// Flush() only queues the sealed generation; a test that "crashes" after a
+// flush waits for the build, or teardown would cancel it and leave the
+// generation to WAL replay instead.
+Status FlushAndWait(LsmTree* t) {
+  TC_RETURN_IF_ERROR(t->Flush());
+  return t->WaitForMerges();
+}
+
 TEST(Recovery, WalReplayRestoresAndFlushesMemtable) {
   auto fs = MakeMemFileSystem();
   BufferCache cache(4096, 512);
+  TaskPool pool(1);
   {
-    auto t = LsmTree::Open(BaseOptions(fs, &cache)).ValueOrDie();
+    auto t = LsmTree::Open(BaseOptions(fs, &cache, &pool)).ValueOrDie();
     ASSERT_TRUE(t->Insert(BtreeKey{1, 0}, "survives").ok());
     ASSERT_TRUE(t->Insert(BtreeKey{2, 0}, "also").ok());
     // "Crash": drop the tree without flushing. The WAL holds both records.
   }
-  auto t = LsmTree::Open(BaseOptions(fs, &cache)).ValueOrDie();
+  auto t = LsmTree::Open(BaseOptions(fs, &cache, &pool)).ValueOrDie();
   // Paper §3.1.2: recovery replays the log and flushes the restored memtable.
-  EXPECT_EQ(t->component_count(), 1u);
-  EXPECT_TRUE(t->View().memtable().empty());
+  auto view = t->View();
+  EXPECT_EQ(view.component_count(), 1u);
+  EXPECT_TRUE(view.memtable().empty());
   EXPECT_EQ(S(*t->Get(BtreeKey{1, 0}).ValueOrDie()), "survives");
   EXPECT_EQ(S(*t->Get(BtreeKey{2, 0}).ValueOrDie()), "also");
 }
@@ -66,10 +80,11 @@ TEST(Recovery, WalReplayRestoresAndFlushesMemtable) {
 TEST(Recovery, InvalidComponentRemoved) {
   auto fs = MakeMemFileSystem();
   BufferCache cache(4096, 512);
+  TaskPool pool(1);
   {
-    auto t = LsmTree::Open(BaseOptions(fs, &cache)).ValueOrDie();
+    auto t = LsmTree::Open(BaseOptions(fs, &cache, &pool)).ValueOrDie();
     ASSERT_TRUE(t->Insert(BtreeKey{1, 0}, "v1").ok());
-    ASSERT_TRUE(t->Flush().ok());
+    ASSERT_TRUE(FlushAndWait(t.get()).ok());
   }
   // Simulate a crash mid-flush: a finished-but-unvalidated component file.
   {
@@ -81,7 +96,7 @@ TEST(Recovery, InvalidComponentRemoved) {
     // No MarkValid: validity bit unset.
   }
   ASSERT_TRUE(fs->Exists("rec/t.c00000099-00000099.btree"));
-  auto t = LsmTree::Open(BaseOptions(fs, &cache)).ValueOrDie();
+  auto t = LsmTree::Open(BaseOptions(fs, &cache, &pool)).ValueOrDie();
   // The INVALID component was discarded and deleted (§3.1.2).
   EXPECT_FALSE(fs->Exists("rec/t.c00000099-00000099.btree"));
   EXPECT_EQ(t->component_count(), 1u);
@@ -92,15 +107,16 @@ TEST(Recovery, InvalidComponentRemoved) {
 TEST(Recovery, MergedComponentSupersedesInputsAfterCrash) {
   auto fs = MakeMemFileSystem();
   BufferCache cache(4096, 512);
+  TaskPool pool(1);
   std::string merged_path;
   {
-    auto opts = BaseOptions(fs, &cache);
+    auto opts = BaseOptions(fs, &cache, &pool);
     opts.merge_policy = MakeNoMergePolicy();
     auto t = LsmTree::Open(std::move(opts)).ValueOrDie();
     ASSERT_TRUE(t->Insert(BtreeKey{1, 0}, "a").ok());
-    ASSERT_TRUE(t->Flush().ok());
+    ASSERT_TRUE(FlushAndWait(t.get()).ok());
     ASSERT_TRUE(t->Insert(BtreeKey{2, 0}, "b").ok());
-    ASSERT_TRUE(t->Flush().ok());
+    ASSERT_TRUE(FlushAndWait(t.get()).ok());
   }
   // Hand-craft a VALID merged component [1,2] while the originals still
   // exist — the state right after a merge completes but before the merge
@@ -114,7 +130,7 @@ TEST(Recovery, MergedComponentSupersedesInputsAfterCrash) {
     ASSERT_TRUE(b->Finish(1, 2, {}).ok());
     ASSERT_TRUE(b->MarkValid().ok());
   }
-  auto t = LsmTree::Open(BaseOptions(fs, &cache)).ValueOrDie();
+  auto t = LsmTree::Open(BaseOptions(fs, &cache, &pool)).ValueOrDie();
   // Only the merged component survives; contained inputs were dropped.
   auto view = t->View();
   ASSERT_EQ(view.component_count(), 1u);
@@ -128,14 +144,15 @@ TEST(Recovery, MergedComponentSupersedesInputsAfterCrash) {
 TEST(Recovery, NextComponentIdContinuesAfterRestart) {
   auto fs = MakeMemFileSystem();
   BufferCache cache(4096, 512);
+  TaskPool pool(1);
   {
-    auto t = LsmTree::Open(BaseOptions(fs, &cache)).ValueOrDie();
+    auto t = LsmTree::Open(BaseOptions(fs, &cache, &pool)).ValueOrDie();
     ASSERT_TRUE(t->Insert(BtreeKey{1, 0}, "x").ok());
-    ASSERT_TRUE(t->Flush().ok());  // C1
+    ASSERT_TRUE(FlushAndWait(t.get()).ok());  // C1
   }
-  auto t = LsmTree::Open(BaseOptions(fs, &cache)).ValueOrDie();
+  auto t = LsmTree::Open(BaseOptions(fs, &cache, &pool)).ValueOrDie();
   ASSERT_TRUE(t->Insert(BtreeKey{2, 0}, "y").ok());
-  ASSERT_TRUE(t->Flush().ok());  // must become C2, not clash with C1
+  ASSERT_TRUE(FlushAndWait(t.get()).ok());  // must become C2, not clash with C1
   auto view = t->View();
   ASSERT_EQ(view.component_count(), 2u);
   EXPECT_EQ(view.components()[0]->meta().cid_min, 2u);
@@ -145,14 +162,15 @@ TEST(Recovery, NextComponentIdContinuesAfterRestart) {
 TEST(Recovery, DeletesReplayedFromWal) {
   auto fs = MakeMemFileSystem();
   BufferCache cache(4096, 512);
+  TaskPool pool(1);
   {
-    auto t = LsmTree::Open(BaseOptions(fs, &cache)).ValueOrDie();
+    auto t = LsmTree::Open(BaseOptions(fs, &cache, &pool)).ValueOrDie();
     ASSERT_TRUE(t->Insert(BtreeKey{1, 0}, "doomed").ok());
-    ASSERT_TRUE(t->Flush().ok());
+    ASSERT_TRUE(FlushAndWait(t.get()).ok());
     ASSERT_TRUE(t->Delete(BtreeKey{1, 0}, nullptr).ok());
     // Crash before the delete flushes.
   }
-  auto t = LsmTree::Open(BaseOptions(fs, &cache)).ValueOrDie();
+  auto t = LsmTree::Open(BaseOptions(fs, &cache, &pool)).ValueOrDie();
   EXPECT_FALSE(t->Get(BtreeKey{1, 0}).ValueOrDie().has_value());
 }
 
@@ -163,20 +181,28 @@ TEST(Recovery, DeletesReplayedFromWal) {
 TEST(Recovery, WalSegmentsFromPendingFlushBuildsReplayInOrder) {
   auto fs = MakeMemFileSystem();
   BufferCache cache(4096, 512);
+  TaskPool pool(1);
   {
-    TaskPool pool(1);
+    TaskPool blocked_pool(1);
     // Occupy the single worker so the flush builds stay QUEUED; destroying
     // the tree then cancels them, leaving only the WAL segments behind.
     std::mutex mu;
     std::condition_variable cv;
+    bool started = false;
     bool release = false;
-    pool.Submit([&] {
+    blocked_pool.Submit([&] {
       std::unique_lock<std::mutex> lock(mu);
+      started = true;
+      cv.notify_all();
       cv.wait_for(lock, std::chrono::seconds(30), [&] { return release; });
     });
-    auto opts = BaseOptions(fs, &cache);
-    opts.merge_pool = &pool;
-    auto t = LsmTree::Open(std::move(opts)).ValueOrDie();
+    {
+      // Flush builds ride the high lane: until the worker has dequeued the
+      // blocker, a build submitted now would run ahead of it.
+      std::unique_lock<std::mutex> lock(mu);
+      cv.wait(lock, [&] { return started; });
+    }
+    auto t = LsmTree::Open(BaseOptions(fs, &cache, &blocked_pool)).ValueOrDie();
     ASSERT_TRUE(t->Insert(BtreeKey{1, 0}, "gen1.v1").ok());
     ASSERT_TRUE(t->Flush().ok());  // sealed; build queued behind the blocker
     ASSERT_TRUE(t->Upsert(BtreeKey{1, 0}, "gen2", nullptr).ok());
@@ -186,8 +212,15 @@ TEST(Recovery, WalSegmentsFromPendingFlushBuildsReplayInOrder) {
     // The rotated segments exist alongside the live one.
     auto segs = fs->List("rec", "t.wal").ValueOrDie();
     EXPECT_GE(segs.size(), 3u);
+    // The crash image: the WAL segments as they stand while both builds are
+    // still queued (cadence 1 synced every record).
+    std::vector<std::pair<std::string, std::vector<uint8_t>>> crash_image;
+    for (const auto& f : segs) {
+      crash_image.emplace_back("rec/" + f, ReadFileBytes(fs.get(), "rec/" + f));
+    }
     // Teardown on a helper thread (it blocks waiting out the canceled
-    // skips), then let the blocker go.
+    // skips), then let the blocker go. Whether the cancel lands before the
+    // worker frees up is timing; the crash image below does not depend on it.
     std::thread destroyer([&] { t.reset(); });
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     {
@@ -196,14 +229,28 @@ TEST(Recovery, WalSegmentsFromPendingFlushBuildsReplayInOrder) {
     }
     cv.notify_all();
     destroyer.join();
+    // Restore the crash image: no component, only the three segments.
+    for (const auto& f : fs->List("rec", "").ValueOrDie()) {
+      ASSERT_TRUE(fs->Delete("rec/" + f).ok());
+    }
+    for (const auto& [path, bytes] : crash_image) {
+      auto file = fs->Create(path).ValueOrDie();
+      ASSERT_TRUE(file->Write(0, bytes.data(), bytes.size()).ok());
+      ASSERT_TRUE(file->Sync().ok());
+    }
   }
   // A stray file that merely LOOKS like a segment must be neither replayed
   // nor deleted (the suffix parse requires all digits).
   { ASSERT_TRUE(fs->Create("rec/t.wal.1.bak").ok()); }
-  // Reopen without a pool: every record — from both sealed generations and
+  // Reopen on a fresh pool: every record — from both sealed generations and
   // the live tail — must be there, with the NEWEST version winning, and the
-  // rotated segments must be gone after recovery flushed them.
-  auto t = LsmTree::Open(BaseOptions(fs, &cache)).ValueOrDie();
+  // rotated segments must be gone after recovery flushed them. Open waits
+  // for the replay flush, so its component is installed the moment Open
+  // returns — no WaitForMerges.
+  auto t = LsmTree::Open(BaseOptions(fs, &cache, &pool)).ValueOrDie();
+  auto view = t->View();
+  EXPECT_EQ(view.component_count(), 1u);
+  EXPECT_TRUE(view.pending_memtables().empty());
   EXPECT_EQ(S(*t->Get(BtreeKey{1, 0}).ValueOrDie()), "gen2");
   EXPECT_EQ(S(*t->Get(BtreeKey{2, 0}).ValueOrDie()), "gen2");
   EXPECT_EQ(S(*t->Get(BtreeKey{3, 0}).ValueOrDie()), "live-tail");
@@ -218,9 +265,10 @@ TEST(Recovery, WalSegmentsFromPendingFlushBuildsReplayInOrder) {
 TEST(Recovery, AckedBatchSurvivesTornFollowingBatch) {
   auto fs = MakeMemFileSystem();
   BufferCache cache(4096, 512);
+  TaskPool pool(1);
   std::vector<uint8_t> torn_wal;
   {
-    auto t = LsmTree::Open(BaseOptions(fs, &cache)).ValueOrDie();
+    auto t = LsmTree::Open(BaseOptions(fs, &cache, &pool)).ValueOrDie();
     std::vector<MemPutOp> batch_a;
     for (int64_t k = 1; k <= 4; ++k) batch_a.push_back({BtreeKey{k, 0}, "acked"});
     ASSERT_TRUE(t->InsertBatch(batch_a).ok());
@@ -236,7 +284,7 @@ TEST(Recovery, AckedBatchSurvivesTornFollowingBatch) {
     torn_wal.resize(acked_bytes + 7);
   }
   WriteFileBytes(fs.get(), "rec/t.wal", torn_wal);
-  auto t = LsmTree::Open(BaseOptions(fs, &cache)).ValueOrDie();
+  auto t = LsmTree::Open(BaseOptions(fs, &cache, &pool)).ValueOrDie();
   for (int64_t k = 1; k <= 4; ++k) {
     EXPECT_EQ(S(*t->Get(BtreeKey{k, 0}).ValueOrDie()), "acked") << k;
   }
@@ -259,10 +307,11 @@ TEST(Recovery, AckedBatchSurvivesTornFollowingBatch) {
 TEST(RecoveryFilterMatrix, CrashBeforeFilterFooterDiscardsComponent) {
   auto fs = MakeMemFileSystem();
   BufferCache cache(4096, 512);
+  TaskPool pool(1);
   {
-    auto t = LsmTree::Open(BaseOptions(fs, &cache)).ValueOrDie();
+    auto t = LsmTree::Open(BaseOptions(fs, &cache, &pool)).ValueOrDie();
     ASSERT_TRUE(t->Insert(BtreeKey{1, 0}, "good").ok());
-    ASSERT_TRUE(t->Flush().ok());
+    ASSERT_TRUE(FlushAndWait(t.get()).ok());
   }
   const std::string half = "rec/t.c00000007-00000007.btree";
   {
@@ -276,7 +325,7 @@ TEST(RecoveryFilterMatrix, CrashBeforeFilterFooterDiscardsComponent) {
     bytes.resize(4096);
     WriteFileBytes(fs.get(), half, bytes);
   }
-  auto t = LsmTree::Open(BaseOptions(fs, &cache)).ValueOrDie();
+  auto t = LsmTree::Open(BaseOptions(fs, &cache, &pool)).ValueOrDie();
   EXPECT_FALSE(fs->Exists(half));
   EXPECT_EQ(t->component_count(), 1u);
   EXPECT_FALSE(t->Get(BtreeKey{9, 0}).ValueOrDie().has_value());
@@ -288,11 +337,12 @@ TEST(RecoveryFilterMatrix, CrashBeforeFilterFooterDiscardsComponent) {
 TEST(RecoveryFilterMatrix, TruncatedFooterOnValidComponentFailsCleanly) {
   auto fs = MakeMemFileSystem();
   BufferCache cache(4096, 512);
+  TaskPool pool(1);
   const std::string path = "rec/t.c00000001-00000001.btree";
   {
-    auto t = LsmTree::Open(BaseOptions(fs, &cache)).ValueOrDie();
+    auto t = LsmTree::Open(BaseOptions(fs, &cache, &pool)).ValueOrDie();
     ASSERT_TRUE(t->Insert(BtreeKey{1, 0}, "v").ok());
-    ASSERT_TRUE(t->Flush().ok());
+    ASSERT_TRUE(FlushAndWait(t.get()).ok());
   }
   ASSERT_TRUE(fs->Exists(path));
   auto bytes = ReadFileBytes(fs.get(), path);
@@ -300,7 +350,7 @@ TEST(RecoveryFilterMatrix, TruncatedFooterOnValidComponentFailsCleanly) {
   auto truncated = bytes;
   truncated.resize(truncated.size() - 4096);
   WriteFileBytes(fs.get(), path, truncated);
-  auto r = LsmTree::Open(BaseOptions(fs, &cache));
+  auto r = LsmTree::Open(BaseOptions(fs, &cache, &pool));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
 
@@ -309,7 +359,7 @@ TEST(RecoveryFilterMatrix, TruncatedFooterOnValidComponentFailsCleanly) {
   truncated = bytes;
   truncated.resize(truncated.size() - 100);
   WriteFileBytes(fs.get(), path, truncated);
-  auto r2 = LsmTree::Open(BaseOptions(fs, &cache));
+  auto r2 = LsmTree::Open(BaseOptions(fs, &cache, &pool));
   ASSERT_FALSE(r2.ok());
   EXPECT_EQ(r2.status().code(), StatusCode::kCorruption);
 }
@@ -319,14 +369,16 @@ TEST(RecoveryFilterMatrix, TruncatedFooterOnValidComponentFailsCleanly) {
 TEST(RecoveryFilterMatrix, CorruptedFilterPageLoadsFilterlessAndServes) {
   auto fs = MakeMemFileSystem();
   BufferCache cache(4096, 512);
+  TaskPool pool(1);
   const std::string path = "rec/t.c00000001-00000001.btree";
   {
-    auto t = LsmTree::Open(BaseOptions(fs, &cache)).ValueOrDie();
+    auto t = LsmTree::Open(BaseOptions(fs, &cache, &pool)).ValueOrDie();
     for (int64_t k = 0; k < 200; ++k) {
       ASSERT_TRUE(t->Insert(BtreeKey{k, 0}, "v" + std::to_string(k)).ok());
     }
-    ASSERT_TRUE(t->Flush().ok());
-    ASSERT_TRUE(t->View().components()[0]->has_filter());
+    ASSERT_TRUE(FlushAndWait(t.get()).ok());
+    auto view = t->View();  // named: components() borrows from the view
+    ASSERT_TRUE(view.components()[0]->has_filter());
   }
   // Locate the filter pages through the v2 footer (filter_start lives right
   // after the v1 fixed fields, at offset 84) and flip one byte.
@@ -337,7 +389,7 @@ TEST(RecoveryFilterMatrix, CorruptedFilterPageLoadsFilterlessAndServes) {
   bytes[static_cast<size_t>(filter_start) * 4096 + 5] ^= 0xff;
   WriteFileBytes(fs.get(), path, bytes);
 
-  auto t = LsmTree::Open(BaseOptions(fs, &cache)).ValueOrDie();
+  auto t = LsmTree::Open(BaseOptions(fs, &cache, &pool)).ValueOrDie();
   auto view = t->View();
   ASSERT_EQ(view.component_count(), 1u);
   EXPECT_FALSE(view.components()[0]->has_filter());
@@ -355,17 +407,18 @@ TEST(RecoveryFilterMatrix, CorruptedFilterPageLoadsFilterlessAndServes) {
 TEST(RecoveryFilterMatrix, CorruptedFooterFilterCrcFailsCleanly) {
   auto fs = MakeMemFileSystem();
   BufferCache cache(4096, 512);
+  TaskPool pool(1);
   const std::string path = "rec/t.c00000001-00000001.btree";
   {
-    auto t = LsmTree::Open(BaseOptions(fs, &cache)).ValueOrDie();
+    auto t = LsmTree::Open(BaseOptions(fs, &cache, &pool)).ValueOrDie();
     ASSERT_TRUE(t->Insert(BtreeKey{1, 0}, "v").ok());
-    ASSERT_TRUE(t->Flush().ok());
+    ASSERT_TRUE(FlushAndWait(t.get()).ok());
   }
   auto bytes = ReadFileBytes(fs.get(), path);
   size_t footer_off = bytes.size() - 4096;
   bytes[footer_off + 92] ^= 0xff;  // stored filter_crc field
   WriteFileBytes(fs.get(), path, bytes);
-  auto r = LsmTree::Open(BaseOptions(fs, &cache));
+  auto r = LsmTree::Open(BaseOptions(fs, &cache, &pool));
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kCorruption);
 }
@@ -379,6 +432,7 @@ TEST(RecoveryFilterMatrix, CorruptedFooterFilterCrcFailsCleanly) {
 TEST(Recovery, CrashMidMergeRewriteRecoversTransformedHeavyComponent) {
   auto fs = MakeMemFileSystem();
   BufferCache cache(4096, 512);
+  TaskPool pool(1);
   DatasetType type = DatasetType::OpenWithPk("id");
   std::vector<AdmValue> records;
   auto payload_for = [&](int64_t id) {
@@ -395,17 +449,17 @@ TEST(Recovery, CrashMidMergeRewriteRecoversTransformedHeavyComponent) {
   // Phase 1: two components of UNCOMPACTED vector records (schemaless
   // ingest: no flush transformer), plain codec, no merging.
   {
-    auto opts = BaseOptions(fs, &cache);
+    auto opts = BaseOptions(fs, &cache, &pool);
     opts.merge_policy = MakeNoMergePolicy();
     auto t = LsmTree::Open(std::move(opts)).ValueOrDie();
     for (int64_t id = 0; id < 8; ++id) {
       Buffer p = payload_for(id);
       ASSERT_TRUE(t->Insert(BtreeKey{id, 0}, S(p)).ok());
       if (id == 3) {
-        ASSERT_TRUE(t->Flush().ok());
+        ASSERT_TRUE(FlushAndWait(t.get()).ok());
       }
     }
-    ASSERT_TRUE(t->Flush().ok());
+    ASSERT_TRUE(FlushAndWait(t.get()).ok());
   }
   // Snapshot every component file (data, LAF sidecars, validity markers).
   std::vector<std::pair<std::string, std::vector<uint8_t>>> snapshot;
@@ -418,14 +472,15 @@ TEST(Recovery, CrashMidMergeRewriteRecoversTransformedHeavyComponent) {
   // output. The merge re-encodes every schemaless survivor.
   {
     TupleCompactor compactor(&type);
-    auto opts = BaseOptions(fs, &cache);
+    auto opts = BaseOptions(fs, &cache, &pool);
     opts.merge_policy = MakeConstantMergePolicy(1);
     opts.merge_transformer = &compactor;
     opts.merge_recompress = CompressionKind::kHeavy;
     auto t = LsmTree::Open(std::move(opts)).ValueOrDie();
     Buffer p = payload_for(8);
     ASSERT_TRUE(t->Insert(BtreeKey{8, 0}, S(p)).ok());
-    ASSERT_TRUE(t->Flush().ok());  // inline: flush then merge [0..8]
+    // The build installs, then its one merge decision merges [0..8].
+    ASSERT_TRUE(FlushAndWait(t.get()).ok());
     LsmStats s = t->stats();
     ASSERT_EQ(s.merge_count, 1u);
     EXPECT_EQ(s.merge_records_recompacted, 9u);
@@ -443,7 +498,7 @@ TEST(Recovery, CrashMidMergeRewriteRecoversTransformedHeavyComponent) {
   // merged component opens via its LAF, and OnRecoveredSchema reloads the
   // merge-inferred schema.
   TupleCompactor fresh(&type);
-  auto opts = BaseOptions(fs, &cache);
+  auto opts = BaseOptions(fs, &cache, &pool);
   opts.merge_policy = MakeNoMergePolicy();
   opts.transformer = &fresh;
   auto t = LsmTree::Open(std::move(opts)).ValueOrDie();

@@ -8,6 +8,7 @@
 
 #include "adm/value.h"
 #include "common/rng.h"
+#include "common/task_pool.h"
 #include "core/dataset.h"
 #include "storage/buffer_cache.h"
 #include "storage/file.h"
@@ -75,19 +76,19 @@ inline AdmValue RandomRecord(Rng* rng, int64_t id, int depth = 4) {
   return rec;
 }
 
-/// In-memory dataset fixture: owns the filesystem and buffer cache.
+/// In-memory dataset fixture: owns the filesystem, buffer cache and a
+/// one-worker background pool (a deterministic flush/merge order), used
+/// unless the options name a pool of their own.
 struct DatasetFixture {
   std::shared_ptr<FileSystem> fs = MakeMemFileSystem();
   std::unique_ptr<BufferCache> cache;
+  TaskPool pool{1};  // declared before `dataset`: outlives it
   std::unique_ptr<Dataset> dataset;
 
   Status Open(DatasetOptions options, size_t partitions = 1) {
+    dataset.reset();  // before the cache it reads through
     cache = std::make_unique<BufferCache>(options.page_size, 4096);
-    options.fs = fs;
-    options.cache = cache.get();
-    options.dir = "mem";
-    TC_ASSIGN_OR_RETURN(dataset, Dataset::Open(std::move(options), partitions));
-    return Status::OK();
+    return Reopen(std::move(options), partitions);
   }
 
   /// Closes and re-opens the dataset against the same filesystem contents —
@@ -97,6 +98,7 @@ struct DatasetFixture {
     options.fs = fs;
     options.cache = cache.get();
     options.dir = "mem";
+    if (options.merge_pool == nullptr) options.merge_pool = &pool;
     TC_ASSIGN_OR_RETURN(dataset, Dataset::Open(std::move(options), partitions));
     return Status::OK();
   }
